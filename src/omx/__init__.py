@@ -56,7 +56,7 @@ from .geometry import (
 )
 from .pulsed import (
     AsymmetryResult,
-    ClickRecord,
+    ClickStream,
     DetectionChain,
     HeatingKernel,
     PulseTrain,
@@ -117,7 +117,7 @@ __all__ = [
     "PulseTrain",
     "DetectionChain",
     "HeatingKernel",
-    "ClickRecord",
+    "ClickStream",
     "AsymmetryResult",
     "scattering_probability",
     "steady_state_prepulse_occupancy",

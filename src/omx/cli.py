@@ -16,6 +16,7 @@ file, which wins over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, fitkit, geometry, pulsed, spectra
+from . import core, fitkit, geometry, pulsed, spectra, table
 from .constants import angular_to_hz, hz_to_angular
 
 __all__ = ["main", "build_parser"]
@@ -103,54 +104,6 @@ def _merge_args(ns: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(**merged)
 
 
-# --- output helpers ----------------------------------------------------------
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _jsonify(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def _write_table(columns: dict, fmt: str, out: str | None) -> None:
-    """Write named columns as CSV (header row) or JSON (column arrays)."""
-    names = list(columns)
-    cols = [list(columns[n]) for n in names]
-    if fmt == "json":
-        payload = {n: [_jsonify(v) for v in col] for n, col in zip(names, cols)}
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-        return
-    lines = [",".join(names)]
-    for row in zip(*cols):
-        lines.append(",".join(_format_cell(v) for v in row))
-    _emit("\n".join(lines) + "\n", out)
-
-
-def _write_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out)
-
-
 # --- shared loaders ----------------------------------------------------------
 
 
@@ -200,22 +153,6 @@ def _load_design(spec: str) -> geometry.DesignParams:
     raise KeyError(f"unknown design preset or file: {spec!r}")
 
 
-def _read_columns_csv(path: str) -> dict:
-    """Small numeric-CSV reader: first row is the header, the rest floats."""
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: empty CSV")
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    arrays = [np.array(col) for col in zip(*rows)]
-    return dict(zip(header, arrays))
-
-
 # --- subcommand handlers -----------------------------------------------------
 
 
@@ -253,7 +190,7 @@ def _cmd_device(args) -> int:
             ("sideband_resolved", device.sideband_resolved),
         ]
         for key, value in rows:
-            print(f"{key} = {_format_cell(value)}")
+            print(f"{key} = {table.format_cell(value)}")
         return 0
     if args.action == "export":
         if args.path is None:
@@ -271,20 +208,12 @@ def _cmd_cool_curve(args) -> int:
     if args.points < 2:
         raise ValueError("points must be >= 2")
     grid = np.geomspace(args.nc_min, args.nc_max, int(args.points))
-    table = core.cooling_curve(device, heating, grid)
+    curve = core.cooling_curve(device, heating, grid)
     omega_m = device.mechanical.omega_m
-    t_eff = [core.temperature_from_occupancy(omega_m, n) for n in table.n_m]
-    _write_table(
-        {
-            "n_c": table.n_c,
-            "C": table.cooperativity,
-            "gamma_eff_hz": [angular_to_hz(g) for g in table.gamma_eff],
-            "n_m": table.n_m,
-            "t_eff_k": t_eff,
-        },
-        args.format,
-        args.out,
-    )
+    t_eff = [core.temperature_from_occupancy(omega_m, n) for n in curve.n_m]
+    table.write_table({"n_c": curve.n_c, "C": curve.cooperativity,
+                       "gamma_eff_hz": angular_to_hz(curve.gamma_eff),
+                       "n_m": curve.n_m, "t_eff_k": t_eff}, args.out, args.format)
     return 0
 
 
@@ -304,15 +233,7 @@ def _cmd_omit(args) -> int:
                 else hz_to_angular(args.detuning_hz))
     probe = _probe_grid(device, args.span_hz, args.points)
     trace = spectra.omit_reflection(device, args.nc, detuning, probe)
-    _write_table(
-        {
-            "freq_hz": [angular_to_hz(w) for w in trace.freq],
-            "re": np.real(trace.values),
-            "im": np.imag(trace.values),
-        },
-        args.format,
-        args.out,
-    )
+    table.write_table(spectra.trace_columns(trace), args.out, args.format)
     return 0
 
 
@@ -327,16 +248,11 @@ def _cmd_omit_map(args) -> int:
         raise ValueError("detuning-points must be >= 2")
     probe = _probe_grid(device, args.span_hz, args.points)
     detunings_hz = np.linspace(lo, hi, int(args.detuning_points))
-    col_det, col_freq, col_mag = [], [], []
-    for d_hz in detunings_hz:
-        trace = spectra.omit_reflection(device, args.nc, hz_to_angular(d_hz), probe)
-        mag = trace.magnitude()
-        for w, m in zip(trace.freq, mag):
-            col_det.append(float(d_hz))
-            col_freq.append(angular_to_hz(w))
-            col_mag.append(float(m))
-    _write_table({"detuning_hz": col_det, "freq_hz": col_freq, "mag": col_mag},
-                 args.format, args.out)
+    mag = [spectra.omit_reflection(device, args.nc, hz_to_angular(d), probe).magnitude()
+           for d in detunings_hz]
+    table.write_table({"detuning_hz": np.repeat(detunings_hz, probe.size),
+                       "freq_hz": np.tile(angular_to_hz(probe), detunings_hz.size),
+                       "mag": np.concatenate(mag)}, args.out, args.format)
     return 0
 
 
@@ -360,59 +276,34 @@ def _cmd_pulse_sim(args) -> int:
     n_c = core.intracavity_photons(device.optical, drive)
     clicks = pulsed.simulate_clicks(device, train, chain, kernel, n_c,
                                     seed=int(args.seed), workers=int(args.workers))
-    _write_table(
-        {
-            "pulse_index": [c.pulse_index for c in clicks],
-            "t_ns": [c.t * 1e9 for c in clicks],
-            "label": [c.label for c in clicks],
-        },
-        args.format,
-        args.out,
-    )
+    table.write_table(pulsed.click_columns(clicks), args.out, args.format)
     return 0
 
 
 def _cmd_estimate(args) -> int:
     blue = pulsed.read_clicks_csv(args.blue)
     red = pulsed.read_clicks_csv(args.red)
+    for clicks in (blue, red):  # a contradicting file is an input error, not exit 1
+        clicks.check_within(int(args.pulses))
     chain = pulsed.DetectionChain(dark_rate=args.dark_rate,
                                   window=args.window_ns * 1e-9)
     try:
         result = pulsed.estimate_occupancy(blue, red, int(args.pulses), chain)
     except ValueError as exc:
         raise RuntimeError(str(exc)) from exc
-    _write_json(
-        {
-            "n_m": result.n_m,
-            "stderr": result.stderr,
-            "counts_blue": result.counts_blue,
-            "counts_red": result.counts_red,
-            "dark_estimate": result.dark_estimate,
-            "clamped": result.clamped,
-        },
-        args.out,
-    )
+    table.write_json(dataclasses.asdict(result), args.out)
     return 0
 
 
 def _cmd_histogram(args) -> int:
     window = args.window_ns * 1e-9
     bin_width = args.bin_ns * 1e-9
-    rates = {}
-    for name, path in (("blue", args.blue), ("red", args.red)):
-        clicks = pulsed.read_clicks_csv(path)
-        hist = pulsed.histogram(clicks, bin_width, int(args.pulses), window)
-        rates[name] = (hist.bin_start, pulsed.combined_rate(hist))
-    bin_start = rates["blue"][0]
-    _write_table(
-        {
-            "bin_start_ns": bin_start * 1e9,
-            "rate_hz_blue": rates["blue"][1],
-            "rate_hz_red": rates["red"][1],
-        },
-        args.format,
-        args.out,
-    )
+    blue, red = (pulsed.histogram(pulsed.read_clicks_csv(path), bin_width,
+                                  int(args.pulses), window)
+                 for path in (args.blue, args.red))
+    columns = pulsed.histogram_columns(blue.bin_start, pulsed.combined_rate(blue),
+                                       pulsed.combined_rate(red))
+    table.write_table(columns, args.out, args.format)
     return 0
 
 
@@ -421,15 +312,7 @@ def _cmd_taper(args) -> int:
     if args.cells < 1:
         raise ValueError("cells must be >= 1")
     schedule = geometry.generate_schedule(design, n_cells=int(args.cells))
-    _write_table(
-        {
-            "cell_index": list(range(schedule.n_cells + 1)),
-            "d_nm": schedule.values["d"],
-            "h_nm": schedule.values["h"],
-        },
-        args.format,
-        args.out,
-    )
+    table.write_table(geometry.schedule_columns(schedule), args.out, args.format)
     return 0
 
 
@@ -455,7 +338,7 @@ def _cmd_fit(args) -> int:
             result = fitkit.fit_fano(trace)
             angular = ("center", "width")
     elif args.kind == "g0":
-        data = _read_columns_csv(args.in_path)
+        data = table.read_table(args.in_path)
         if "n_c" not in data or "gamma_m_hz" not in data:
             raise ValueError("g0 fit input needs columns n_c,gamma_m_hz[,sigma_hz]")
         if args.branch is None:
@@ -468,7 +351,7 @@ def _cmd_fit(args) -> int:
             branch=args.branch, sigma=sigma)
         angular = ("slope", "g0")
     elif args.kind == "heating":
-        data = _read_columns_csv(args.in_path)
+        data = table.read_table(args.in_path)
         if "n_c" not in data or "n_m" not in data:
             raise ValueError("heating fit input needs columns n_c,n_m")
         device = _load_device(args.device if args.device is not None else "A")
@@ -479,7 +362,7 @@ def _cmd_fit(args) -> int:
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown fit kind {args.kind!r}")
     out.update(fitkit.result_to_json(result, angular=angular))
-    _write_json(out, args.out)
+    table.write_json(out, args.out)
     if not result.converged:
         print(f"error: fit did not converge: {result.message}", file=sys.stderr)
         return 1

@@ -11,11 +11,12 @@ Lengths are nanometers throughout, matching the on-disk formats.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import table
 
 __all__ = [
     "UnitCellParams",
@@ -24,6 +25,7 @@ __all__ = [
     "DESIGN_PRESETS",
     "taper_value",
     "generate_schedule",
+    "schedule_columns",
     "write_schedule_csv",
     "read_schedule_csv",
     "design_to_json",
@@ -167,29 +169,21 @@ def generate_schedule(design, n_cells: int = 17) -> TaperSchedule:
     )
 
 
+def schedule_columns(schedule: TaperSchedule) -> dict:
+    """Schedule table: cell_index, d_nm, h_nm (values round-trip losslessly)."""
+    return {"cell_index": np.arange(schedule.n_cells + 1),
+            "d_nm": np.asarray(schedule.values["d"], dtype=float),
+            "h_nm": np.asarray(schedule.values["h"], dtype=float)}
+
+
 def write_schedule_csv(path, schedule: TaperSchedule) -> None:
-    """Schedule CSV: cell_index,d_nm,h_nm (values round-trip losslessly)."""
-    d = schedule.values["d"]
-    h = schedule.values["h"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell_index", "d_nm", "h_nm"])
-        for n in range(schedule.n_cells + 1):
-            writer.writerow([n, repr(float(d[n])), repr(float(h[n]))])
+    table.write_table(schedule_columns(schedule), path)
 
 
 def read_schedule_csv(path):
     """Read a schedule CSV back as (cell_index, d_nm, h_nm) arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["cell_index", "d_nm", "h_nm"]:
-            raise ValueError(f"unexpected schedule CSV header: {header}")
-        rows = [(int(a), float(b), float(c)) for a, b, c in reader]
-    if not rows:
-        return np.array([], dtype=int), np.array([]), np.array([])
-    idx, d, h = zip(*rows)
-    return np.array(idx), np.array(d), np.array(h)
+    cols = table.read_table(path, ("cell_index", "d_nm", "h_nm"), {"cell_index": int})
+    return cols["cell_index"], cols["d_nm"], cols["h_nm"]
 
 
 def design_to_json(design: DesignParams) -> dict:

@@ -8,7 +8,6 @@ with propagated uncertainty.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -18,13 +17,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import Device
-from . import fitkit
+from . import fitkit, table
 
 __all__ = [
     "PulseTrain",
     "DetectionChain",
     "HeatingKernel",
-    "ClickRecord",
+    "ClickStream",
     "AsymmetryResult",
     "Histogram",
     "scattering_probability",
@@ -35,13 +34,15 @@ __all__ = [
     "simulate_clicks",
     "estimate_occupancy",
     "histogram",
+    "click_columns",
     "write_clicks_csv",
     "read_clicks_csv",
+    "histogram_columns",
     "write_histogram_csv",
     "read_histogram_csv",
 ]
 
-LABELS = ("red", "blue", "dark")
+LABELS = ("red", "blue", "dark")  # a ClickStream label is an index into this
 
 # pulses per independent random block; fixed so that streams do not depend
 # on how many workers the simulation is split across
@@ -109,19 +110,52 @@ class HeatingKernel:
             raise ValueError("kernel parameters must be >= 0")
 
 
-@dataclass(frozen=True)
-class ClickRecord:
-    """One time-tagged detection event."""
+@dataclass(frozen=True, eq=False)
+class ClickStream:
+    """Time-tagged detection events as equal-length columns, one entry per click.
 
-    pulse_index: int
-    t: float  # time since pulse start (s)
-    label: str  # "red", "blue" or "dark"
+    ``pulse_index`` (int64) is the pulse the click belongs to, ``t``
+    (float64) the time since that pulse's start in seconds, and ``label``
+    (int8) a code into ``LABELS``.
+    """
+
+    pulse_index: np.ndarray
+    t: np.ndarray
+    label: np.ndarray
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("click time must be >= 0")
-        if self.label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}")
+        pulse_index = np.asarray(self.pulse_index, dtype=np.int64)
+        t = np.asarray(self.t, dtype=np.float64)
+        label = np.asarray(self.label)
+        if not (pulse_index.ndim == t.ndim == label.ndim == 1
+                and pulse_index.size == t.size == label.size):
+            raise ValueError("click columns must be 1-d arrays of equal length")
+        if not (np.all(pulse_index >= 0) and np.all(t >= 0)):
+            raise ValueError("pulse_index and click time must be >= 0")
+        if not np.all((label >= 0) & (label < len(LABELS))):
+            raise ValueError(f"label must be a code into {LABELS}")
+        object.__setattr__(self, "pulse_index", pulse_index)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "label", label.astype(np.int8))
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __eq__(self, other):
+        fields = ("pulse_index", "t", "label")
+        return isinstance(other, ClickStream) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
+
+    def check_within(self, n_pulses: int, window: float | None = None) -> None:
+        """Reject clicks beyond pulse n_pulses - 1 or after the gate [0, window]."""
+        gate = np.inf if window is None else window
+        outside = (self.pulse_index >= n_pulses) | (self.t > gate)
+        if outside.any():
+            k = int(np.argmax(outside))
+            where = "" if window is None else f" and the {window * 1e9:g} ns gate"
+            raise ValueError(f"click {k} (pulse_index {self.pulse_index[k]}, t_ns "
+                             f"{float(self.t[k]) * 1e9!r}) is outside the {n_pulses} "
+                             f"declared pulses{where}")
 
 
 @dataclass(frozen=True)
@@ -256,8 +290,8 @@ def default_kernel() -> HeatingKernel:
 
 def _block_clicks(seed: int, block_index: int, n_block: int, base_index: int,
                   mu_side: float, mu_dark: float, tau: float, window: float,
-                  side_label: str) -> list[ClickRecord]:
-    """Clicks for one contiguous block of pulses from its own random stream."""
+                  side_label: str):
+    """Sorted (pulse_index, t, label) arrays for one block, from its own random stream."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, block_index)))
     side_counts = rng.poisson(mu_side, n_block)
     dark_counts = rng.poisson(mu_dark, n_block)
@@ -269,21 +303,15 @@ def _block_clicks(seed: int, block_index: int, n_block: int, base_index: int,
         base_index + np.repeat(np.arange(n_block), dark_counts),
     ])
     times = np.concatenate([side_times, dark_times])
-    is_dark = np.concatenate([
-        np.zeros(side_times.size, dtype=np.int8),
-        np.ones(dark_times.size, dtype=np.int8),
-    ])
-    order = np.lexsort((is_dark, pulse))  # group by pulse, sideband first
-    return [
-        ClickRecord(int(pulse[k]), float(times[k]),
-                    "dark" if is_dark[k] else side_label)
-        for k in order
-    ]
+    label = np.repeat(np.array([LABELS.index(side_label), LABELS.index("dark")], np.int8),
+                      [side_times.size, dark_times.size])
+    order = np.lexsort((label, pulse))  # group by pulse; red, blue codes sort before dark
+    return pulse[order], times[order], label[order]
 
 
 def simulate_clicks(device: Device, train: PulseTrain, chain: DetectionChain,
                     kernel: HeatingKernel, n_c: float, seed: int = 0,
-                    workers: int = 1) -> list[ClickRecord]:
+                    workers: int = 1) -> ClickStream:
     """Generate the time-tagged click stream for one pulse train.
 
     Per pulse the sideband count is Poisson with mean eta*p_s*(n+1) (blue)
@@ -308,7 +336,7 @@ def simulate_clicks(device: Device, train: PulseTrain, chain: DetectionChain,
 
     n_blocks = (train.n_pulses + BLOCK_PULSES - 1) // BLOCK_PULSES
 
-    def run(b: int) -> list[ClickRecord]:
+    def run(b: int):
         base = b * BLOCK_PULSES
         n_block = min(BLOCK_PULSES, train.n_pulses - base)
         return _block_clicks(seed, b, n_block, base, mu_side, mu_dark,
@@ -319,18 +347,15 @@ def simulate_clicks(device: Device, train: PulseTrain, chain: DetectionChain,
             blocks = list(pool.map(run, range(n_blocks)))
     else:
         blocks = [run(b) for b in range(n_blocks)]
-
-    out: list[ClickRecord] = []
-    for block in blocks:
-        out.extend(block)
-    return out
+    return ClickStream(*(np.concatenate(cols) for cols in zip(*blocks)))
 
 
-def _as_count(counts) -> int:
+def _as_count(counts, n_pulses: int) -> int:
     if isinstance(counts, (int, np.integer)):
         if counts < 0:
             raise ValueError("counts must be >= 0")
         return int(counts)
+    counts.check_within(n_pulses)
     return len(counts)
 
 
@@ -340,16 +365,17 @@ def estimate_occupancy(counts_blue, counts_red, n_pulses_each: int,
 
     ``counts_blue``/``counts_red`` may be integer totals or click streams
     (every click in a stream counts — the dark label is simulation
-    metadata a real detector would not have). B and R are per-pulse rates
+    metadata a real detector would not have — and a click beyond
+    ``n_pulses_each`` is an error). B and R are per-pulse rates
     minus the expected dark floor; the standard error propagates
     independent Poisson fluctuations of both totals (variance floored at
     one count). A negative red rate clamps to zero and sets ``clamped``;
     B <= R is rejected as unresolvable.
     """
-    cb = _as_count(counts_blue)
-    cr = _as_count(counts_red)
     if n_pulses_each <= 0:
         raise ValueError("n_pulses_each must be positive")
+    cb = _as_count(counts_blue, n_pulses_each)
+    cr = _as_count(counts_red, n_pulses_each)
     n = n_pulses_each
     d = chain.dark_per_pulse
     B = cb / n - d
@@ -387,79 +413,67 @@ class Histogram:
         return int(sum(int(c.sum()) for c in self.counts.values()))
 
 
-def histogram(clicks, bin_width: float, n_pulses: int, window: float) -> Histogram:
-    """Bin a click stream into per-label counts and rates covering [0, window]."""
+def histogram(clicks: ClickStream, bin_width: float, n_pulses: int,
+              window: float) -> Histogram:
+    """Bin a click stream into per-label counts and rates covering [0, window].
+
+    A click beyond ``n_pulses`` or after the gate is an error; one exactly
+    on the gate edge lands in the last bin.
+    """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     if n_pulses <= 0:
         raise ValueError("n_pulses must be positive")
+    clicks.check_within(n_pulses, window)
     n_bins = max(int(math.ceil(window / bin_width - 1e-12)), 1)
     bin_start = np.arange(n_bins) * bin_width
+    idx = np.minimum((clicks.t / bin_width).astype(int), n_bins - 1)
     counts: dict = {}
     rates: dict = {}
     norm = 1.0 / (n_pulses * bin_width)
-    for label in LABELS:
-        times = np.array([c.t for c in clicks if c.label == label])
-        if times.size == 0:
-            continue
-        idx = np.minimum((times / bin_width).astype(int), n_bins - 1)
-        binned = np.bincount(idx, minlength=n_bins)
-        counts[label] = binned
-        rates[label] = binned * norm
+    for code in np.unique(clicks.label).tolist():
+        binned = np.bincount(idx[clicks.label == code], minlength=n_bins)
+        counts[LABELS[code]] = binned
+        rates[LABELS[code]] = binned * norm
     return Histogram(bin_start=bin_start, counts=counts, rates=rates,
                      bin_width=bin_width, n_pulses=n_pulses)
 
 
 def combined_rate(hist: Histogram) -> np.ndarray:
     """Sum of all label rates per bin — what a detector actually records."""
-    total = np.zeros_like(hist.bin_start)
-    for r in hist.rates.values():
-        total = total + r
-    return total
+    return sum(hist.rates.values(), np.zeros_like(hist.bin_start))
 
 
 # --- file formats ---
 
 
-def write_clicks_csv(path, clicks) -> None:
-    """Click stream CSV: pulse_index,t_ns,label."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pulse_index", "t_ns", "label"])
-        for c in clicks:
-            writer.writerow([int(c.pulse_index), repr(float(c.t * 1e9)), c.label])
+def click_columns(clicks: ClickStream) -> dict:
+    """Click stream table: pulse_index, t_ns, label."""
+    return {"pulse_index": clicks.pulse_index, "t_ns": clicks.t * 1e9,
+            "label": np.array(LABELS)[clicks.label]}
 
 
-def read_clicks_csv(path) -> list[ClickRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["pulse_index", "t_ns", "label"]:
-            raise ValueError(f"unexpected click CSV header: {header}")
-        return [ClickRecord(int(row[0]), float(row[1]) * 1e-9, row[2])
-                for row in reader]
+def write_clicks_csv(path, clicks: ClickStream) -> None:
+    table.write_table(click_columns(clicks), path)
+
+
+def read_clicks_csv(path) -> ClickStream:
+    cols = table.read_table(path, ("pulse_index", "t_ns", "label"),
+                            {"pulse_index": int, "label": LABELS.index})
+    return ClickStream(cols["pulse_index"], cols["t_ns"] * 1e-9, cols["label"])
+
+
+def histogram_columns(bin_start, rate_blue, rate_red) -> dict:
+    """Histogram table: bin_start_ns, rate_hz_blue, rate_hz_red."""
+    return {"bin_start_ns": np.asarray(bin_start, dtype=float) * 1e9,
+            "rate_hz_blue": np.asarray(rate_blue, dtype=float),
+            "rate_hz_red": np.asarray(rate_red, dtype=float)}
 
 
 def write_histogram_csv(path, bin_start, rate_blue, rate_red) -> None:
-    """Histogram CSV: bin_start_ns,rate_hz_blue,rate_hz_red."""
-    bin_start = np.asarray(bin_start, dtype=float)
-    rate_blue = np.asarray(rate_blue, dtype=float)
-    rate_red = np.asarray(rate_red, dtype=float)
-    if not bin_start.size == rate_blue.size == rate_red.size:
-        raise ValueError("histogram columns must have equal length")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_start_ns", "rate_hz_blue", "rate_hz_red"])
-        for t, b, r in zip(bin_start, rate_blue, rate_red):
-            writer.writerow([repr(float(t * 1e9)), repr(float(b)), repr(float(r))])
+    table.write_table(histogram_columns(bin_start, rate_blue, rate_red), path)
 
 
 def read_histogram_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["bin_start_ns", "rate_hz_blue", "rate_hz_red"]:
-            raise ValueError(f"unexpected histogram CSV header: {header}")
-        rows = [(float(a) * 1e-9, float(b), float(c)) for a, b, c in reader]
-    cols = list(zip(*rows)) if rows else ([], [], [])
-    return (np.array(cols[0]), np.array(cols[1]), np.array(cols[2]))
+    cols = table.read_table(path, ("bin_start_ns", "rate_hz_blue", "rate_hz_red"))
+    return cols["bin_start_ns"] * 1e-9, cols["rate_hz_blue"], cols["rate_hz_red"]

@@ -11,7 +11,6 @@ disk; the CSV helpers convert.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import find_peaks
 
+from . import table
 from .constants import angular_to_hz, hz_to_angular
 from .core import Device
 
@@ -31,6 +31,7 @@ __all__ = [
     "extract_splitting",
     "psd_model",
     "occupancy_from_areas",
+    "trace_columns",
     "write_trace_csv",
     "read_trace_csv",
 ]
@@ -230,33 +231,25 @@ def occupancy_from_areas(
     return n_ref * (mech_area / cal_area) / (mech_ref / cal_ref)
 
 
+def trace_columns(trace: SpectrumTrace) -> dict:
+    """Trace table: freq_hz (cyclic Hz) with re, im if complex, else value."""
+    freq_hz = angular_to_hz(trace.freq)
+    if trace.is_complex:
+        return {"freq_hz": freq_hz, "re": trace.values.real, "im": trace.values.imag}
+    return {"freq_hz": freq_hz, "value": np.asarray(trace.values, dtype=float)}
+
+
 def write_trace_csv(path: str | Path, trace: SpectrumTrace) -> None:
-    """Write a trace as CSV; complex traces get ``freq_hz,re,im``, real ones
-    ``freq_hz,value``. Frequencies are cyclic Hz on disk."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if trace.is_complex:
-            writer.writerow(["freq_hz", "re", "im"])
-            for f, v in zip(trace.freq, trace.values):
-                writer.writerow([repr(float(angular_to_hz(f))),
-                                 repr(float(v.real)), repr(float(v.imag))])
-        else:
-            writer.writerow(["freq_hz", "value"])
-            for f, v in zip(trace.freq, trace.values):
-                writer.writerow([repr(float(angular_to_hz(f))), repr(float(v))])
+    table.write_table(trace_columns(trace), path)
 
 
 def read_trace_csv(path: str | Path, kind: str = "generic") -> SpectrumTrace:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    if header == ["freq_hz", "re", "im"]:
-        freq = np.array([hz_to_angular(float(r[0])) for r in rows])
-        values = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    elif header == ["freq_hz", "value"]:
-        freq = np.array([hz_to_angular(float(r[0])) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
+    cols = table.read_table(path)
+    if list(cols) == ["freq_hz", "re", "im"]:
+        values = np.empty(cols["re"].size, dtype=complex)
+        values.real, values.imag = cols["re"], cols["im"]
+    elif list(cols) == ["freq_hz", "value"]:
+        values = cols["value"]
     else:
-        raise ValueError(f"unrecognized trace header: {header}")
-    return SpectrumTrace(freq=freq, values=values, kind=kind)
+        raise ValueError(f"unrecognized trace header: {list(cols)}")
+    return SpectrumTrace(freq=hz_to_angular(cols["freq_hz"]), values=values, kind=kind)

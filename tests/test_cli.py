@@ -228,7 +228,8 @@ class TestPulseCommands:
         assert result["clamped"] is False
 
     def test_estimate_degenerate_streams_fail(self, capsys, tmp_path):
-        clicks = [pulsed.ClickRecord(i, 1e-9, "blue") for i in range(50)]
+        clicks = pulsed.ClickStream(np.arange(50), np.full(50, 1e-9),
+                                    np.full(50, pulsed.LABELS.index("blue")))
         path = tmp_path / "same.csv"
         pulsed.write_clicks_csv(path, clicks)
         code, _, err = run(capsys, "estimate", "--blue", str(path), "--red", str(path),
@@ -257,6 +258,50 @@ class TestPulseCommands:
         bin_start, rate_blue, rate_red = pulsed.read_histogram_csv(hist_path)
         assert bin_start.size == 10
         assert rate_blue.sum() > rate_red.sum() > 0
+
+    def test_clicks_beyond_declared_train_rejected(self, capsys, tmp_path):
+        path = tmp_path / "clicks.csv"
+        path.write_text("pulse_index,t_ns,label\n0,80.0,blue\n9,81.5,dark\n")
+        code, out, err = run(capsys, "estimate", "--blue", str(path), "--red", str(path),
+                             "--pulses", "9")
+        assert (code, out) == (2, "")
+        assert "pulse_index 9" in err
+        code, out, err = run(capsys, "histogram", "--blue", str(path), "--red", str(path),
+                             "--pulses", "10", "--window-ns", "81")
+        assert (code, out) == (2, "")
+        assert "81.5" in err and "gate" in err
+        # a click exactly on the gate edge is inside it
+        code, out, _ = run(capsys, "histogram", "--blue", str(path), "--red", str(path),
+                           "--pulses", "10", "--window-ns", "81.5")
+        assert code == 0
+        assert out.startswith("bin_start_ns,rate_hz_blue,rate_hz_red\n")
+
+
+@pytest.mark.parametrize("argv,text,where", [
+    (["estimate", "--red", "{path}", "--pulses", "10"],
+     "pulse_index,t_ns,label\n0,1.5,blue\n1,2.5\n", ":3: 2 cells"),
+    (["estimate", "--red", "{path}", "--pulses", "10"],
+     "pulse_index,t_ns,label\n0,1.5,blue\n1,late,blue\n", ":3: cannot read t_ns"),
+    (["histogram", "--red", "{path}", "--pulses", "10"], "", ":1: empty"),
+    (["fit", "lorentzian", "--in", "{path}"],
+     "freq_hz,value\n1.0,2.0\n2.0\n3.0,4.0\n", ":3: 1 cells"),
+    (["fit", "heating", "--in", "{path}"],
+     "n_c,n_m\n1.0,8.0\n2.0,7.9\n3.0\n4.0,7.7\n5.0,7.6\n", ":4: 1 cells"),
+    (["fit", "g0", "--in", "{path}", "--device", "A", "--branch", "red"],
+     "n_c,gamma_m_hz\n1.0,2e5\n2.0,2e5,7\n", ":3: 3 cells"),
+])
+def test_malformed_table_is_a_usage_error(capsys, tmp_path, argv, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    good = tmp_path / "good.csv"
+    good.write_text("pulse_index,t_ns,label\n0,1.5,blue\n")
+    argv = [a.replace("{path}", str(path)) for a in argv]
+    if argv[0] in ("estimate", "histogram"):
+        argv += ["--blue", str(good)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}{where}")
+    assert err.count("\n") == 1
 
 
 class TestTaperCommand:

@@ -26,6 +26,15 @@ def flat_kernel(n_m: float) -> pulsed.HeatingKernel:
     return pulsed.HeatingKernel(delta=0.0, tau_th=0.0, n_base=n_m)
 
 
+def code(label: str) -> int:
+    return pulsed.LABELS.index(label)
+
+
+def stream(pulse_index, t, labels) -> pulsed.ClickStream:
+    """Click stream from per-click label names."""
+    return pulsed.ClickStream(pulse_index, t, [code(l) for l in labels])
+
+
 def photons_for_rate(device: core.Device, lam: float, tau: float) -> float:
     """Photon number making eta*p_s = lam at unit efficiency."""
     return lam * device.optical.kappa / (4.0 * device.g0**2 * tau)
@@ -62,11 +71,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             pulsed.HeatingKernel(delta=0.1, tau_th=-1e-6)
 
-    def test_click_record(self):
+    def test_click_stream(self):
         with pytest.raises(ValueError):
-            pulsed.ClickRecord(0, -1e-9, "blue")
+            stream([0], [-1e-9], ["blue"])
         with pytest.raises(ValueError):
-            pulsed.ClickRecord(0, 1e-9, "uv")
+            stream([0], [np.nan], ["blue"])
+        with pytest.raises(ValueError):
+            pulsed.ClickStream([0], [1e-9], [len(pulsed.LABELS)])
+        with pytest.raises(ValueError):
+            pulsed.ClickStream([0], [1e-9], [-1])
+        with pytest.raises(ValueError):
+            stream([-1], [1e-9], ["blue"])
+        with pytest.raises(ValueError):
+            pulsed.ClickStream([0, 1], [1e-9], [code("blue")])
+        clicks = stream([0, 2], [1e-9, 2e-9], ["blue", "dark"])
+        assert len(clicks) == 2
+        assert clicks.pulse_index.dtype == np.int64
+        assert clicks.t.dtype == np.float64
+        assert clicks.label.dtype == np.int8
+        assert clicks == stream([0, 2], [1e-9, 2e-9], ["blue", "dark"])
+        assert clicks != stream([0, 2], [1e-9, 2e-9], ["blue", "red"])
 
 
 class TestScatteringProbability:
@@ -235,29 +259,22 @@ class TestSimulateClicks:
         clicks = quiet_simulate(self.device, self.train("red", 50_000), noisy_chain,
                                 flat_kernel(0.0), self.n_c, seed=2)
         assert len(clicks) > 0
-        assert all(c.label == "dark" for c in clicks)
+        assert np.all(clicks.label == code("dark"))
 
     def test_stream_layout_and_time_ranges(self):
         n_pulses = pulsed.BLOCK_PULSES + 123
         clicks = quiet_simulate(self.device, self.train("blue", n_pulses), self.chain,
                                 flat_kernel(0.4), self.n_c, seed=5)
-        indices = [c.pulse_index for c in clicks]
-        assert indices == sorted(indices)
-        assert 0 <= min(indices) and max(indices) < n_pulses
-        for c in clicks:
-            limit = self.tau if c.label != "dark" else self.chain.window
-            assert 0.0 <= c.t <= limit
+        indices = clicks.pulse_index
+        assert np.all(np.diff(indices) >= 0)
+        assert 0 <= indices.min() and indices.max() < n_pulses
+        dark = clicks.label == code("dark")
+        limit = np.where(dark, self.chain.window, self.tau)
+        assert np.all((0.0 <= clicks.t) & (clicks.t <= limit))
+        assert set(np.unique(clicks.label).tolist()) <= {code("blue"), code("dark")}
         # within a pulse, sideband clicks come before dark clicks
-        by_pulse: dict = {}
-        for c in clicks:
-            by_pulse.setdefault(c.pulse_index, []).append(c.label)
-        for labels in by_pulse.values():
-            seen_dark = False
-            for label in labels:
-                if label == "dark":
-                    seen_dark = True
-                else:
-                    assert not seen_dark
+        same_pulse = np.diff(indices) == 0
+        assert not np.any(same_pulse & dark[:-1] & ~dark[1:])
 
     def test_blue_rate_matches_expectation(self):
         n_m, n_pulses = 0.4, 200_000
@@ -273,8 +290,8 @@ class TestSimulateClicks:
                               flat_kernel(n_m), self.n_c, seed=21)
         red = quiet_simulate(self.device, self.train("red", n_pulses), self.chain,
                              flat_kernel(n_m), self.n_c, seed=22)
-        nb = sum(1 for c in blue if c.label == "blue")
-        nr = sum(1 for c in red if c.label == "red")
+        nb = np.count_nonzero(blue.label == code("blue"))
+        nr = np.count_nonzero(red.label == code("red"))
         expected = (n_m + 1.0) / n_m
         ratio = nb / nr
         sigma = ratio * math.sqrt(1.0 / nb + 1.0 / nr)
@@ -298,10 +315,10 @@ class TestEstimateOccupancy:
 
     def test_click_streams_count_like_totals(self):
         chain = pulsed.DetectionChain(eta=0.05, dark_rate=0.0, window=80e-9)
-        blue = [pulsed.ClickRecord(i, 1e-9, "blue") for i in range(500)]
         # dark labels are simulation metadata: they still count as detections
-        blue += [pulsed.ClickRecord(i, 2e-9, "dark") for i in range(10)]
-        red = [pulsed.ClickRecord(i, 1e-9, "red") for i in range(100)]
+        blue = stream(list(range(500)) + list(range(10)), [1e-9] * 500 + [2e-9] * 10,
+                      ["blue"] * 500 + ["dark"] * 10)
+        red = stream(range(100), [1e-9] * 100, ["red"] * 100)
         from_streams = pulsed.estimate_occupancy(blue, red, 10_000, chain)
         from_totals = pulsed.estimate_occupancy(510, 100, 10_000, chain)
         assert from_streams.n_m == from_totals.n_m
@@ -341,6 +358,14 @@ class TestEstimateOccupancy:
         chain = pulsed.DetectionChain()
         with pytest.raises(ValueError):
             pulsed.estimate_occupancy(10, 5, 0, chain)
+
+    def test_click_beyond_declared_pulses_rejected(self):
+        chain = pulsed.DetectionChain(eta=0.05, dark_rate=0.0, window=80e-9)
+        blue = stream(range(100), [1e-9] * 100, ["blue"] * 100)
+        red = stream([3, 99], [1e-9, 1e-9], ["red", "red"])
+        assert pulsed.estimate_occupancy(blue, red, 100, chain).counts_red == 2
+        with pytest.raises(ValueError, match="pulse_index 99"):
+            pulsed.estimate_occupancy(blue, red, 99, chain)
 
     def test_coverage_across_occupancy_decades(self):
         """3-sigma interval covers the truth for >= 98% of seeded runs."""
@@ -427,10 +452,23 @@ class TestHistogram:
         assert np.all(np.abs(counts - mean) < 5 * math.sqrt(mean))
 
     def test_click_on_gate_edge_lands_in_last_bin(self):
-        clicks = [pulsed.ClickRecord(0, 80e-9, "dark")]
+        clicks = stream([0], [80e-9], ["dark"])
         hist = pulsed.histogram(clicks, 4e-9, 1, 80e-9)
         assert hist.counts["dark"][-1] == 1
         assert hist.total_counts() == 1
+
+    def test_clicks_outside_declared_train_rejected(self):
+        with pytest.raises(ValueError, match="pulse_index 1"):
+            pulsed.histogram(stream([0, 1], [1e-9, 1e-9], ["blue"] * 2), 4e-9, 1, 80e-9)
+        with pytest.raises(ValueError, match="gate"):
+            pulsed.histogram(stream([0], [81e-9], ["blue"]), 4e-9, 1, 80e-9)
+
+    def test_labels_present_are_binned_apart(self):
+        clicks = stream([0, 0, 1], [1e-9, 5e-9, 6e-9], ["red", "dark", "dark"])
+        hist = pulsed.histogram(clicks, 4e-9, 2, 8e-9)
+        assert list(hist.counts) == ["red", "dark"]
+        np.testing.assert_array_equal(hist.counts["red"], [1, 0])
+        np.testing.assert_array_equal(hist.counts["dark"], [0, 2])
 
     def test_combined_rate_sums_labels(self):
         clicks, chain, train = self.make_stream()
@@ -440,7 +478,7 @@ class TestHistogram:
         np.testing.assert_allclose(total, expected, rtol=1e-15)
 
     def test_single_bin_when_width_exceeds_window(self):
-        clicks = [pulsed.ClickRecord(0, 10e-9, "blue")]
+        clicks = stream([0], [10e-9], ["blue"])
         hist = pulsed.histogram(clicks, 1e-6, 1, 80e-9)
         assert hist.bin_start.size == 1
 
@@ -463,15 +501,13 @@ class TestClickCsv:
         pulsed.write_clicks_csv(path, clicks)
         back = pulsed.read_clicks_csv(path)
         assert len(back) == len(clicks)
-        for a, b in zip(back, clicks):
-            assert a.pulse_index == b.pulse_index
-            assert a.label == b.label
-            # the ns <-> s unit conversion costs at most one ulp
-            assert a.t == pytest.approx(b.t, rel=1e-12)
+        np.testing.assert_array_equal(back.pulse_index, clicks.pulse_index)
+        np.testing.assert_array_equal(back.label, clicks.label)
+        # the ns <-> s unit conversion costs at most one ulp
+        np.testing.assert_allclose(back.t, clicks.t, rtol=1e-12)
 
     def test_write_is_deterministic(self, tmp_path):
-        clicks = [pulsed.ClickRecord(0, 1.25e-9, "blue"),
-                  pulsed.ClickRecord(1, 3.5e-9, "dark")]
+        clicks = stream([0, 1], [1.25e-9, 3.5e-9], ["blue", "dark"])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         pulsed.write_clicks_csv(p1, clicks)
         pulsed.write_clicks_csv(p2, clicks)
@@ -481,6 +517,18 @@ class TestClickCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,blue\n")
         with pytest.raises(ValueError):
+            pulsed.read_clicks_csv(path)
+
+    def test_empty_stream_round_trips(self, tmp_path):
+        path = tmp_path / "none.csv"
+        pulsed.write_clicks_csv(path, stream([], [], []))
+        assert path.read_text() == "pulse_index,t_ns,label\n"
+        assert len(pulsed.read_clicks_csv(path)) == 0
+
+    def test_unknown_label_names_its_line(self, tmp_path):
+        path = tmp_path / "uv.csv"
+        path.write_text("pulse_index,t_ns,label\n0,1.0,blue\n1,2.0,uv\n")
+        with pytest.raises(ValueError, match=r"uv.csv:3: .*'uv'"):
             pulsed.read_clicks_csv(path)
 
 
