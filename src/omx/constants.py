@@ -7,10 +7,11 @@ is cyclic Hz and passes through the two helpers below exactly once.
 
 import math
 
-from scipy.constants import hbar as HBAR  # J s, CODATA
-from scipy.constants import k as K_B  # J/K, exact SI
-
 TWO_PI = 2.0 * math.pi
+
+# Exact SI-2019 defining constants; equal to scipy.constants.hbar and .k
+HBAR = 6.62607015e-34 / TWO_PI  # J s
+K_B = 1.380649e-23  # J/K
 
 
 def hz_to_angular(f_hz: float) -> float:

@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Device
 from . import fitkit, table
@@ -219,6 +218,8 @@ def fit_heating_kernel(points, n_base: float = 0.0) -> HeatingKernel:
     equation); more points go through damped least squares seeded by the
     two extreme rates.
     """
+    from scipy.optimize import brentq  # imported here so the CLI never loads scipy
+
     pts = sorted((float(r), float(n)) for r, n in points)
     if len(pts) < 2:
         raise ValueError("need at least 2 calibration points")
@@ -283,9 +284,14 @@ def fit_heating_kernel(points, n_base: float = 0.0) -> HeatingKernel:
                          tau_th=result.params["tau_th"], n_base=n_base)
 
 
+# fit_heating_kernel(DEFAULT_KERNEL_ANCHORS) to the last bit (a test pins it),
+# written out so that simulating with the default kernel never loads scipy
+_DEFAULT_KERNEL = HeatingKernel(delta=0.029745204038197255, tau_th=4.5198547896980855e-06)
+
+
 def default_kernel() -> HeatingKernel:
     """Kernel calibrated to the two bundled reference anchors."""
-    return fit_heating_kernel(DEFAULT_KERNEL_ANCHORS, n_base=0.0)
+    return _DEFAULT_KERNEL
 
 
 def _block_clicks(seed: int, block_index: int, n_block: int, base_index: int,

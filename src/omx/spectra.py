@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import table
 from .constants import angular_to_hz, hz_to_angular
-from .core import Device
+from .core import Device, _check_finite
 
 __all__ = [
     "SpectrumTrace",
@@ -114,14 +113,17 @@ def omit_reflection(device: Device, n_c: float, detuning: float, probe_freq) -> 
         chib_o = [kappa/2 + i(omega - Delta)]^-1,
         chib_m = [gamma_0/2 + i(omega - omega_m)]^-1.
     """
+    _check_finite("n_c", n_c)
     if n_c < 0:
         raise ValueError("n_c must be >= 0")
+    g2 = device.g0**2 * n_c
+    if not math.isfinite(g2):
+        raise ValueError(f"n_c = {n_c!r} overflows the coupling g0^2 n_c")
     omega = np.asarray(probe_freq, dtype=float)
     kappa = device.optical.kappa
     kappa_e = device.optical.kappa_e
     gamma0 = device.mechanical.gamma_0
     omega_m = device.mechanical.omega_m
-    g2 = device.g0**2 * n_c
     if detuning <= 0:
         chi_o = 1.0 / (kappa / 2.0 - 1j * (detuning + omega))
         chi_m = 1.0 / (gamma0 / 2.0 - 1j * (omega - omega_m))
@@ -182,6 +184,8 @@ def extract_splitting(trace: SpectrumTrace) -> float | None:
     (single-dip regime). Dip positions are refined by three-point quadratic
     interpolation.
     """
+    from scipy.signal import find_peaks  # imported here so the CLI never loads scipy
+
     if trace.freq.size < 5:
         raise ValueError("need at least 5 samples to locate reflection minima")
     mag = trace.magnitude()

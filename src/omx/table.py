@@ -41,9 +41,17 @@ def _open(out):
 
 
 def write_json(payload: dict, out=None) -> None:
-    """Write ``payload`` as indented JSON to the path ``out`` (stdout if None)."""
+    """Write ``payload`` as indented JSON to the path ``out`` (stdout if None).
+
+    A non-finite float has no JSON form (RFC 8259): it raises
+    ``ArithmeticError`` and nothing is written.
+    """
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"non-finite result, not written as JSON ({exc})") from None
     with _open(out) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def write_table(columns: dict, out=None, fmt: str = "csv") -> None:
@@ -69,8 +77,8 @@ def read_table(path, header=None, types=None) -> dict:
     the parser of one cell: ``float`` (the default) gives a float64 column,
     any other (``int``, ``tuple.index``) an int64 one. Rows are parsed
     ``CHUNK_ROWS`` at a time and blank lines skipped. An empty file, another
-    header, a row of another width or a cell that does not parse raises
-    ``ValueError("path:line: ...")``.
+    header, a row of another width, a cell that does not parse or a float
+    cell that is not finite raises ``ValueError("path:line: ...")``.
     """
     types = types or {}
     with open(path, newline="") as fh:
@@ -103,7 +111,7 @@ def _parse_rows(path, head, parsers, rows, lines) -> list:
     for name, parse, cells in zip(head, parsers, zip(*rows) if rows else [()] * len(head)):
         dtype = np.float64 if parse is float else np.int64
         try:
-            out.append(np.fromiter(map(parse, cells), dtype, len(cells)))
+            column = np.fromiter(map(parse, cells), dtype, len(cells))
         except (ValueError, OverflowError):
             for k, cell in enumerate(cells):
                 try:
@@ -112,4 +120,9 @@ def _parse_rows(path, head, parsers, rows, lines) -> list:
                     raise ValueError(f"{path}:{lines[k]}: cannot read {name} "
                                      f"value {cell!r}") from None
             raise
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"{path}:{lines[k]}: {name} value {cells[k]!r} is not finite")
+        out.append(column)
     return out

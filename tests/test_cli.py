@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -138,6 +139,13 @@ class TestCoolCurveCommand:
         assert code == 2
         assert "nc-min" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_is_a_numeric_failure(self, capsys):
+        code, out, err = run(capsys, "cool-curve", "--points", "3", "--nc-max", "1e300")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestOmitCommands:
     def test_spectrum_matches_library(self, capsys, tmp_path):
@@ -237,6 +245,23 @@ class TestPulseCommands:
         assert code == 1
         assert "asymmetry" in err
 
+    def test_non_finite_estimate_is_not_written(self, capsys, tmp_path, monkeypatch):
+        paths = []
+        for label, n in (("blue", 4), ("red", 1)):
+            paths.append(tmp_path / f"{label}.csv")
+            pulsed.write_clicks_csv(paths[-1], pulsed.ClickStream(
+                np.arange(n), np.full(n, 1e-9), np.full(n, pulsed.LABELS.index(label))))
+        estimate = pulsed.estimate_occupancy
+        monkeypatch.setattr(pulsed, "estimate_occupancy", lambda *a: dataclasses.replace(
+            estimate(*a), n_m=float("nan")))
+        out_path = tmp_path / "estimate.json"
+        code, out, err = run(capsys, "estimate", "--blue", str(paths[0]),
+                             "--red", str(paths[1]), "--pulses", "10", "--dark-rate", "0",
+                             "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: non-finite result") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_estimate_requires_flags(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--blue", "x.csv")
         assert code == 2
@@ -289,6 +314,11 @@ class TestPulseCommands:
      "n_c,n_m\n1.0,8.0\n2.0,7.9\n3.0\n4.0,7.7\n5.0,7.6\n", ":4: 1 cells"),
     (["fit", "g0", "--in", "{path}", "--device", "A", "--branch", "red"],
      "n_c,gamma_m_hz\n1.0,2e5\n2.0,2e5,7\n", ":3: 3 cells"),
+    (["fit", "heating", "--in", "{path}"],
+     "n_c,C,gamma_eff_hz,n_m,t_eff_k\n1.0,0.1,2e5,8.0,0.3\nnan,nan,nan,nan,nan\n",
+     ":3: n_c value 'nan' is not finite"),
+    (["estimate", "--red", "{path}", "--pulses", "10"],
+     "pulse_index,t_ns,label\n0,1.5,blue\n1,inf,blue\n", ":3: t_ns value 'inf' is not finite"),
 ])
 def test_malformed_table_is_a_usage_error(capsys, tmp_path, argv, text, where):
     path = tmp_path / "bad.csv"
@@ -301,6 +331,18 @@ def test_malformed_table_is_a_usage_error(capsys, tmp_path, argv, text, where):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}{where}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["omit", "omit-map"])
+@pytest.mark.parametrize("nc,text", [
+    ("nan", "n_c must be finite"), ("inf", "n_c must be finite"),
+    ("-1", "n_c must be >= 0"), ("1e300", "overflows"),
+])
+def test_out_of_range_nc_is_a_usage_error(capsys, command, nc, text):
+    code, out, err = run(capsys, command, "--nc", nc, "--points", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and text in err
     assert err.count("\n") == 1
 
 

@@ -157,6 +157,10 @@ class TestSteadyStateOccupancy:
 
 
 class TestHeatingKernelFit:
+    def test_default_kernel_is_the_anchor_fit(self):
+        assert pulsed.default_kernel() == pulsed.fit_heating_kernel(
+            pulsed.DEFAULT_KERNEL_ANCHORS)
+
     def test_two_point_reproduces_anchors(self):
         kernel = pulsed.default_kernel()
         for rate, occ in pulsed.DEFAULT_KERNEL_ANCHORS:
