@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -203,34 +204,50 @@ def _cmd_device(args) -> int:
 def _cmd_cool_curve(args) -> int:
     device = _load_device(args.device)
     heating = _load_heating(args.heating)
+    core._check_finite("nc-min", args.nc_min)
+    core._check_finite("nc-max", args.nc_max)
     if not (args.nc_min > 0 and args.nc_max > args.nc_min):
         raise ValueError("need 0 < nc-min < nc-max")
     if args.points < 2:
         raise ValueError("points must be >= 2")
     grid = np.geomspace(args.nc_min, args.nc_max, int(args.points))
     curve = core.cooling_curve(device, heating, grid)
-    omega_m = device.mechanical.omega_m
-    t_eff = [core.temperature_from_occupancy(omega_m, n) for n in curve.n_m]
+    t_eff = core.temperature_from_occupancy(device.mechanical.omega_m, curve.n_m)
     table.write_table({"n_c": curve.n_c, "C": curve.cooperativity,
                        "gamma_eff_hz": angular_to_hz(curve.gamma_eff),
                        "n_m": curve.n_m, "t_eff_k": t_eff}, args.out, args.format)
     return 0
 
 
+def _grid_hz(flag: str, lo: float, hi: float, points: int) -> np.ndarray:
+    """``points`` cyclic frequencies from ``lo`` to ``hi``. The ends and the step
+    must stay finite in rad/s: a grid of inf or nan is a usage error."""
+    if not all(map(math.isfinite, (hz_to_angular(lo), hz_to_angular(hi),
+                                   hz_to_angular(hi - lo)))):
+        raise ValueError(f"{flag} gives a grid beyond the float range "
+                         f"({lo!r} to {hi!r} Hz)")
+    return np.linspace(lo, hi, int(points))
+
+
 def _probe_grid(device: core.Device, span_hz: float, points: int) -> np.ndarray:
+    core._check_finite("span-hz", span_hz)
     if span_hz <= 0:
         raise ValueError("span-hz must be positive")
     if points < 2:
         raise ValueError("points must be >= 2")
     f_m = angular_to_hz(device.mechanical.omega_m)
-    freq_hz = np.linspace(f_m - span_hz / 2.0, f_m + span_hz / 2.0, int(points))
-    return hz_to_angular(freq_hz)
+    return hz_to_angular(_grid_hz("span-hz", f_m - span_hz / 2.0, f_m + span_hz / 2.0,
+                                  points))
 
 
 def _cmd_omit(args) -> int:
     device = _load_device(args.device)
-    detuning = (-device.mechanical.omega_m if args.detuning_hz is None
-                else hz_to_angular(args.detuning_hz))
+    if args.detuning_hz is None:
+        detuning = -device.mechanical.omega_m
+    else:
+        core._check_finite("detuning-hz", args.detuning_hz)
+        detuning = hz_to_angular(args.detuning_hz)
+        core._check_finite("detuning-hz in rad/s", detuning)
     probe = _probe_grid(device, args.span_hz, args.points)
     trace = spectra.omit_reflection(device, args.nc, detuning, probe)
     table.write_table(spectra.trace_columns(trace), args.out, args.format)
@@ -242,17 +259,20 @@ def _cmd_omit_map(args) -> int:
     f_m = angular_to_hz(device.mechanical.omega_m)
     lo = -1.5 * f_m if args.detuning_min_hz is None else args.detuning_min_hz
     hi = -0.5 * f_m if args.detuning_max_hz is None else args.detuning_max_hz
+    core._check_finite("detuning-min-hz", lo)
+    core._check_finite("detuning-max-hz", hi)
     if not hi > lo:
         raise ValueError("need detuning-min-hz < detuning-max-hz")
     if args.detuning_points < 2:
         raise ValueError("detuning-points must be >= 2")
     probe = _probe_grid(device, args.span_hz, args.points)
-    detunings_hz = np.linspace(lo, hi, int(args.detuning_points))
-    mag = [spectra.omit_reflection(device, args.nc, hz_to_angular(d), probe).magnitude()
-           for d in detunings_hz]
+    detunings_hz = _grid_hz("detuning-min-hz/detuning-max-hz", lo, hi,
+                            args.detuning_points)
+    mag = np.abs(spectra.omit_reflection_map(device, args.nc, hz_to_angular(detunings_hz),
+                                             probe))
     table.write_table({"detuning_hz": np.repeat(detunings_hz, probe.size),
                        "freq_hz": np.tile(angular_to_hz(probe), detunings_hz.size),
-                       "mag": np.concatenate(mag)}, args.out, args.format)
+                       "mag": mag.ravel()}, args.out, args.format)
     return 0
 
 
@@ -470,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add("--device", default=None)
     sub.add("--kappa-hz", default=None, type=float)
     sub.add("--gamma0-hz", default=None, type=float)
-    sub.add("--n-th0", default="7.95", help="fixed base occupancy or 'free'")
+    sub.add("--n-th0", default=repr(core.DEFAULT_HEATING.n_th0),
+            help="fixed base occupancy or 'free'")
     sub.add("--out", default=None)
 
     return parser

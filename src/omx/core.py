@@ -6,6 +6,10 @@ parametrically coupled to a single GHz mechanical mode.
 
 All stored frequencies and rates are angular (rad/s). Use the ``from_hz``
 constructors at the boundary; see :mod:`omx.constants`.
+
+The photon-number and occupancy arguments of the closed-form functions take
+a scalar or an array; an array gives, element by element, the same bits as
+the scalar call.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +54,35 @@ __all__ = [
 _T_CLAMP = 1e-6
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
+def _check_finite(name: str, value) -> None:
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        if np.ndim(value):
+            value = np.asarray(value)[~finite][0].item()
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _values(x):
+    """A scalar as it is, anything else as a float array."""
+    return x if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
+def _photons(n_c):
+    n_c = _values(n_c)
+    if np.any(n_c < 0):
+        raise ValueError("n_c must be >= 0")
+    return n_c
+
+
+def _libm(func, x, *args):
+    """``func(x, *args)`` on a scalar, or on each element of an array through a
+    Python float. Python's ``**`` and ``math.log1p`` call libm, whose results
+    differ in the last bit from numpy's on some inputs; this keeps the bits of
+    the scalar path."""
+    if np.ndim(x) == 0:
+        return func(x, *args)
+    cells = map(func, x.ravel().tolist(), *map(repeat, args))
+    return np.fromiter(cells, float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -181,7 +212,7 @@ class HeatingParams:
 
 @dataclass(frozen=True)
 class BackactionResult:
-    """Dynamical backaction at one operating point."""
+    """Dynamical backaction at one operating point (array fields over an array of them)."""
 
     g: float  # field-enhanced coupling, rad/s
     cooperativity: float
@@ -209,15 +240,16 @@ def thermal_occupancy(frequency: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def temperature_from_occupancy(frequency: float, occupancy: float) -> float:
+def temperature_from_occupancy(frequency, occupancy):
     """Exact inverse of :func:`thermal_occupancy` (kelvin)."""
+    frequency, occupancy = _values(frequency), _values(occupancy)
     _check_finite("frequency", frequency)
     _check_finite("occupancy", occupancy)
-    if frequency <= 0:
+    if np.any(frequency <= 0):
         raise ValueError("frequency must be positive")
-    if occupancy <= 0:
+    if np.any(occupancy <= 0):
         raise ValueError("occupancy must be positive")
-    return HBAR * frequency / (K_B * math.log1p(1.0 / occupancy))
+    return HBAR * frequency / (K_B * _libm(math.log1p, 1.0 / occupancy))
 
 
 def intracavity_photons(optical: OpticalMode, drive: Drive) -> float:
@@ -232,10 +264,9 @@ def intracavity_photons(optical: OpticalMode, drive: Drive) -> float:
     return drive.on_chip_power * optical.kappa_e / (HBAR * drive.omega_l * lorentz)
 
 
-def cooperativity(device: Device, n_c: float) -> float:
+def cooperativity(device: Device, n_c):
     """C = 4 g0^2 n_c / (kappa * gamma_0)."""
-    if n_c < 0:
-        raise ValueError("n_c must be >= 0")
+    n_c = _photons(n_c)
     return 4.0 * device.g0**2 * n_c / (device.optical.kappa * device.mechanical.gamma_0)
 
 
@@ -248,23 +279,24 @@ def resolved_sideband_damping(device: Device, n_c: float) -> float:
     return 4.0 * device.g0**2 * n_c / device.optical.kappa
 
 
-def backaction(device: Device, n_c: float, detuning: float) -> BackactionResult:
+def backaction(device: Device, n_c, detuning: float) -> BackactionResult:
     """Dynamical backaction from both motional sidebands (no rotating-wave
     approximation in the sideband weights).
 
     gamma_opt = g^2 kappa * [S(Delta + omega_m) - S(Delta - omega_m)] with
     S(x) = 1/((kappa/2)^2 + x^2); positive for red detuning (cooling).
-    The spring shift is the corresponding dispersive combination.
+    The spring shift is the corresponding dispersive combination. An array
+    ``n_c`` gives array fields.
     """
-    if n_c < 0:
-        raise ValueError("n_c must be >= 0")
+    n_c = _photons(n_c)
     kappa = device.optical.kappa
     omega_m = device.mechanical.omega_m
-    g = device.g0 * math.sqrt(n_c)
+    g = device.g0 * (math.sqrt(n_c) if np.ndim(n_c) == 0 else np.sqrt(n_c))
+    g2 = _libm(pow, g, 2)
     lor_plus = (kappa / 2.0) ** 2 + (detuning + omega_m) ** 2
     lor_minus = (kappa / 2.0) ** 2 + (detuning - omega_m) ** 2
-    gamma_opt = g**2 * kappa * (1.0 / lor_plus - 1.0 / lor_minus)
-    spring = g**2 * ((detuning + omega_m) / lor_plus + (detuning - omega_m) / lor_minus)
+    gamma_opt = g2 * kappa * (1.0 / lor_plus - 1.0 / lor_minus)
+    spring = g2 * ((detuning + omega_m) / lor_plus + (detuning - omega_m) / lor_minus)
     return BackactionResult(
         g=g,
         cooperativity=cooperativity(device, n_c),
@@ -274,14 +306,13 @@ def backaction(device: Device, n_c: float, detuning: float) -> BackactionResult:
     )
 
 
-def heating_model_occupancy(device: Device, heating: HeatingParams, n_c: float) -> float:
+def heating_model_occupancy(device: Device, heating: HeatingParams, n_c):
     """Mechanical occupancy under simultaneous backaction cooling and
     absorption heating of the thermal bath:
 
     n_m = (n_th0 + alpha_sat*n_c/(1 + beta_sat*n_c) + alpha_lin*n_c) / (1 + C)
     """
-    if n_c < 0:
-        raise ValueError("n_c must be >= 0")
+    n_c = _photons(n_c)
     bath = (
         heating.n_th0
         + heating.alpha_sat * n_c / (1.0 + heating.beta_sat * n_c)
@@ -303,7 +334,8 @@ class CoolingTable:
 def cooling_curve(device: Device, heating: HeatingParams, n_c_grid) -> CoolingTable:
     """Evaluate occupancy, cooperativity and effective linewidth over a photon grid.
 
-    The grid must be strictly positive and sorted ascending.
+    The grid must be strictly positive and sorted ascending. A grid whose
+    top makes g0^2 n_c, or a term it scales, overflow raises ``OverflowError``.
     """
     grid = np.asarray(n_c_grid, dtype=float)
     if grid.size == 0:
@@ -312,12 +344,17 @@ def cooling_curve(device: Device, heating: HeatingParams, n_c_grid) -> CoolingTa
         raise ValueError("n_c grid must be strictly positive")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("n_c grid must be strictly increasing")
-    coop = np.array([cooperativity(device, n) for n in grid])
-    gamma = np.array(
-        [backaction(device, n, -device.mechanical.omega_m).gamma_eff for n in grid]
-    )
-    occ = np.array([heating_model_occupancy(device, heating, n) for n in grid])
-    return CoolingTable(n_c=grid, cooperativity=coop, gamma_eff=gamma, n_m=occ)
+    top = float(grid[-1])
+    if not math.isfinite(device.g0**2 * top):
+        raise OverflowError(f"n_c = {top!r} overflows the coupling g0^2 n_c")
+    try:
+        with np.errstate(over="raise"):
+            ba = backaction(device, grid, -device.mechanical.omega_m)
+            occ = heating_model_occupancy(device, heating, grid)
+    except FloatingPointError as exc:
+        raise OverflowError(f"n_c = {top!r} overflows the cooling curve ({exc})") from None
+    return CoolingTable(n_c=grid, cooperativity=ba.cooperativity, gamma_eff=ba.gamma_eff,
+                        n_m=occ)
 
 
 # --- bundled device presets (measured parameters of the two reference chips) ---
@@ -341,7 +378,7 @@ DEVICE_PRESETS: dict[str, Device] = {
 # Bath-model coefficients fitted to the device A cooling run (3 K plate).
 DEFAULT_HEATING = HeatingParams(n_th0=7.95, alpha_sat=0.324, beta_sat=0.019, alpha_lin=0.003)
 # Backaction-only cooling from the same thermal anchor.
-ZERO_HEATING = HeatingParams(n_th0=7.95)
+ZERO_HEATING = HeatingParams(n_th0=DEFAULT_HEATING.n_th0)
 
 
 def device_to_json(device: Device) -> dict:

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Device, HeatingParams, cooperativity
+from .constants import angular_to_hz
+from .core import DEFAULT_HEATING, Device, cooperativity
 
 __all__ = [
     "FitResult",
-    "FanoModel",
     "lorentzian",
     "lorentzian_area",
     "fano",
@@ -51,21 +51,6 @@ class FitResult:
     iterations: int
     stderr: dict[str, float] = field(default_factory=dict)
     message: str = ""
-
-
-@dataclass(frozen=True)
-class FanoModel:
-    """Asymmetric resonance line with asymmetry parameter ``q_fano``."""
-
-    center: float  # rad/s
-    width: float  # rad/s
-    q_fano: float
-    amplitude: float
-    offset: float
-
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be positive")
 
 
 # --- model functions and analytic Jacobians ---
@@ -385,7 +370,7 @@ def fit_heating_params(
     n_c,
     n_m,
     device: Device,
-    n_th0: float | None = 7.95,
+    n_th0: float | None = DEFAULT_HEATING.n_th0,
 ) -> FitResult:
     """Fit the bath heating coefficients to occupancy-vs-photon-number data.
 
@@ -398,8 +383,7 @@ def fit_heating_params(
     if x.size < (5 if free_n0 else 4):
         raise ValueError("not enough points for the number of free coefficients")
 
-    coop = np.array([cooperativity(device, n) for n in x])
-    damp = 1.0 + coop
+    damp = 1.0 + cooperativity(device, x)
     bath = y * damp  # observed bath occupancy
     order = np.argsort(x)
     xs, bs = x[order], bath[order]
@@ -450,16 +434,6 @@ def fit_heating_params(
     return result
 
 
-def heating_params_from_fit(result: FitResult) -> HeatingParams:
-    p = result.params
-    return HeatingParams(
-        n_th0=p["n_th0"],
-        alpha_sat=p["alpha_sat"],
-        beta_sat=p["beta_sat"],
-        alpha_lin=p["alpha_lin"],
-    )
-
-
 def result_to_json(result: FitResult, angular: tuple[str, ...] = ()) -> dict:
     """Parameter map ``{name: {value, stderr}}`` plus convergence metadata.
 
@@ -468,13 +442,12 @@ def result_to_json(result: FitResult, angular: tuple[str, ...] = ()) -> dict:
     """
     out: dict = {"converged": result.converged, "iterations": result.iterations,
                  "residual_norm": result.residual_norm, "params": {}}
-    two_pi = 2.0 * math.pi
     for name, value in result.params.items():
         err = result.stderr.get(name)
         if name in angular:
             out["params"][name + "_hz"] = {
-                "value": value / two_pi,
-                "stderr": None if err is None else err / two_pi,
+                "value": angular_to_hz(value),
+                "stderr": None if err is None else angular_to_hz(err),
             }
         else:
             out["params"][name] = {"value": value, "stderr": err}

@@ -26,6 +26,7 @@ __all__ = [
     "NormalModes",
     "LorentzianComponent",
     "omit_reflection",
+    "omit_reflection_map",
     "normal_modes",
     "extract_splitting",
     "psd_model",
@@ -51,7 +52,7 @@ class SpectrumTrace:
         values = np.asarray(self.values)
         if freq.ndim != 1 or values.shape != freq.shape:
             raise ValueError("freq and values must be 1-d arrays of equal length")
-        if freq.size >= 2 and np.any(np.diff(freq) <= 0):
+        if not np.all(np.diff(freq) > 0):
             raise ValueError("freq must be strictly increasing")
         if self.kind not in TRACE_KINDS:
             raise ValueError(f"kind must be one of {TRACE_KINDS}")
@@ -113,6 +114,17 @@ def omit_reflection(device: Device, n_c: float, detuning: float, probe_freq) -> 
         chib_o = [kappa/2 + i(omega - Delta)]^-1,
         chib_m = [gamma_0/2 + i(omega - omega_m)]^-1.
     """
+    omega = np.asarray(probe_freq, dtype=float)
+    r = omit_reflection_map(device, n_c, [detuning], omega)[0]
+    return SpectrumTrace(freq=omega, values=r, kind="omit_reflection")
+
+
+def omit_reflection_map(device: Device, n_c: float, detunings, probe_freq) -> np.ndarray:
+    """:func:`omit_reflection` values for each pump detuning (rad/s) at once.
+
+    Row ``k`` of the complex result is r(omega) over ``probe_freq`` at
+    ``detunings[k]``, evaluated as one broadcast per sideband branch.
+    """
     _check_finite("n_c", n_c)
     if n_c < 0:
         raise ValueError("n_c must be >= 0")
@@ -120,19 +132,39 @@ def omit_reflection(device: Device, n_c: float, detuning: float, probe_freq) -> 
     if not math.isfinite(g2):
         raise ValueError(f"n_c = {n_c!r} overflows the coupling g0^2 n_c")
     omega = np.asarray(probe_freq, dtype=float)
+    delta = np.asarray(detunings, dtype=float).reshape(-1, 1)
+    red = delta[:, 0] <= 0
+    if red.all() or not red.any():
+        return _reflection(device, g2, delta, omega, bool(red.all()))
+    r = np.empty((delta.size, omega.size), dtype=complex)
+    r[red] = _reflection(device, g2, delta[red], omega, True)
+    r[~red] = _reflection(device, g2, delta[~red], omega, False)
+    return r
+
+
+def _reflection(device: Device, g2: float, delta: np.ndarray, omega: np.ndarray,
+                red: bool) -> np.ndarray:
+    """r on one sideband branch for the detuning column ``delta`` x ``omega``.
+
+    Each step is one operation of the formula in :func:`omit_reflection`, done
+    in place so that only two arrays of the map's size are held at a time.
+    """
     kappa = device.optical.kappa
-    kappa_e = device.optical.kappa_e
     gamma0 = device.mechanical.gamma_0
     omega_m = device.mechanical.omega_m
-    if detuning <= 0:
-        chi_o = 1.0 / (kappa / 2.0 - 1j * (detuning + omega))
+    if red:  # chi_o = 1/(kappa/2 - i(Delta + omega)), den = 1 + g^2 chi_o chi_m
+        chi_o = np.subtract(kappa / 2.0, 1j * (delta + omega))
         chi_m = 1.0 / (gamma0 / 2.0 - 1j * (omega - omega_m))
-        r = 1.0 - kappa_e * chi_o / (1.0 + g2 * chi_o * chi_m)
-    else:
-        chi_o = 1.0 / (kappa / 2.0 + 1j * (omega - detuning))
+    else:  # chi_o = 1/(kappa/2 + i(omega - Delta)), den = 1 - g^2 chi_o chi_m
+        chi_o = np.add(kappa / 2.0, 1j * (omega - delta))
         chi_m = 1.0 / (gamma0 / 2.0 + 1j * (omega - omega_m))
-        r = 1.0 - kappa_e * chi_o / (1.0 - g2 * chi_o * chi_m)
-    return SpectrumTrace(freq=omega, values=r, kind="omit_reflection")
+    np.divide(1.0, chi_o, out=chi_o)
+    den = g2 * chi_o
+    den *= chi_m
+    (np.add if red else np.subtract)(1.0, den, out=den)
+    r = np.multiply(device.optical.kappa_e, chi_o, out=chi_o)
+    r /= den
+    return np.subtract(1.0, r, out=r)
 
 
 def normal_modes(device: Device, n_c: float, detuning: float) -> NormalModes:

@@ -3,9 +3,10 @@
 CSV is a header row, then one ``\\n``-terminated row per entry, written
 ``CHUNK_ROWS`` rows at a time. A cell is ``str(int)``, ``repr(float)`` (so
 floats round-trip exactly), ``true``/``false`` or the string itself. JSON is
-one indented object mapping each name to its column as a list. Each file
-layout lives next to its type (``pulsed.click_columns``,
-``spectra.trace_columns``, ...).
+one indented object mapping each name to its column as a list, written from
+the same cells (a string is JSON-quoted); its bytes are those of
+``json.dumps(..., indent=2)``. Each file layout lives next to its type
+(``pulsed.click_columns``, ``spectra.trace_columns``, ...).
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ CHUNK_ROWS = 16384
 def _cells(values: np.ndarray) -> list:
     kind = values.dtype.kind
     if kind == "f":
+        if values.itemsize == 8:
+            # a column that repeats (a grid axis) formats each distinct value
+            # once; the bit pattern keeps -0.0 apart from 0.0
+            bits, index = np.unique(values.view(np.int64), return_inverse=True)
+            if 2 * bits.size < values.size:
+                distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), object)
+                return distinct[index].tolist()
         return list(map(repr, values.tolist()))
     if kind == "b":
         return ["true" if v else "false" for v in values.tolist()]
@@ -60,7 +68,7 @@ def write_table(columns: dict, out=None, fmt: str = "csv") -> None:
     if any(c.ndim != 1 for c in cols.values()) or len({c.size for c in cols.values()}) > 1:
         raise ValueError("table columns must be 1-d and of equal length")
     if fmt == "json":
-        write_json({name: c.tolist() for name, c in cols.items()}, out)
+        _write_json_columns(cols, out)
         return
     n_rows = next(iter(cols.values())).size if cols else 0
     with _open(out) as fh:
@@ -68,6 +76,29 @@ def write_table(columns: dict, out=None, fmt: str = "csv") -> None:
         for start in range(0, n_rows, CHUNK_ROWS):
             cells = [_cells(c[start:start + CHUNK_ROWS]) for c in cols.values()]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _write_json_columns(cols: dict, out) -> None:
+    # json writes a finite float with float.__repr__ and an int with int.__repr__,
+    # as _cells does; indent=2 would run json's pure-Python encoder instead
+    for name, c in cols.items():
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
+            raise ArithmeticError(f"non-finite result, not written as JSON "
+                                  f"(column {name!r} has a non-finite value)")
+    with _open(out) as fh:
+        fh.write("{")
+        for k, (name, c) in enumerate(cols.items()):
+            fh.write(("," if k else "") + "\n  " + json.dumps(name) + ": [")
+            cells = _cells if c.dtype.kind in "biuf" else _json_strings
+            for start in range(0, c.size, CHUNK_ROWS):
+                fh.write(("," if start else "") + "\n    "
+                         + ",\n    ".join(cells(c[start:start + CHUNK_ROWS])))
+            fh.write("\n  ]" if c.size else "]")
+        fh.write("\n}\n" if cols else "}\n")
+
+
+def _json_strings(values: np.ndarray) -> list:
+    return list(map(json.dumps, values.tolist()))
 
 
 def read_table(path, header=None, types=None) -> dict:

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,11 @@ class TestCoolCurveCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_overflow_names_the_coupling(self, capsys):
+        code, _, err = run(capsys, "cool-curve", "--points", "3", "--nc-max", "1e300")
+        assert code == 1
+        assert err == "error: n_c = 1e+300 overflows the coupling g0^2 n_c\n"
 
 
 class TestOmitCommands:
@@ -344,6 +353,45 @@ def test_out_of_range_nc_is_a_usage_error(capsys, command, nc, text):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and text in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["omit", "--nc", "1", "--span-hz", "1e308"], "span-hz gives a grid beyond"),
+    (["omit", "--nc", "1", "--span-hz", "inf"], "span-hz must be finite"),
+    (["omit", "--nc", "1", "--span-hz", "nan"], "span-hz must be finite"),
+    (["omit", "--nc", "1", "--detuning-hz", "nan"], "detuning-hz must be finite"),
+    (["omit", "--nc", "1", "--detuning-hz", "1e308"], "detuning-hz in rad/s must be finite"),
+    (["omit-map", "--nc", "1", "--detuning-max-hz", "inf"], "detuning-max-hz must be finite"),
+    (["omit-map", "--nc", "1", "--detuning-min-hz=-inf"], "detuning-min-hz must be finite"),
+    (["omit-map", "--nc", "1", "--detuning-min-hz=-1e308", "--detuning-max-hz", "1e308"],
+     "detuning-min-hz/detuning-max-hz gives a grid beyond"),
+    (["omit-map", "--nc", "1", "--span-hz", "1e308"], "span-hz gives a grid beyond"),
+    (["cool-curve", "--nc-max", "inf"], "nc-max must be finite"),
+    (["cool-curve", "--nc-max", "nan"], "nc-max must be finite"),
+    (["cool-curve", "--nc-min", "nan"], "nc-min must be finite"),
+])
+def test_non_finite_grid_flag_is_a_usage_error(capsys, argv, text):
+    code, out, err = run(capsys, *argv, "--points", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and text in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cool-curve", "--points", "3", "--nc-max", "1e300"],
+    ["cool-curve", "--points", "3", "--nc-max", "1e290"],
+    ["cool-curve", "--nc-max", "inf"],
+    ["omit", "--nc", "1", "--span-hz", "1e308"],
+])
+def test_stderr_is_one_line_in_a_fresh_process(argv):
+    """No numpy RuntimeWarning reaches a user's terminal next to the error."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "omx", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (1, 2) and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestTaperCommand:

@@ -1,7 +1,9 @@
 """Tests for the closed-form optomechanics layer."""
 
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from omx import core
-from omx.constants import TWO_PI, angular_to_hz, hz_to_angular
+from omx.constants import HBAR, K_B, TWO_PI, angular_to_hz, hz_to_angular
 
 
 class TestUnits:
@@ -308,6 +310,94 @@ class TestCoolingCurve:
     def test_pure_cooling_occupancy_decreases(self, device_a):
         table = core.cooling_curve(device_a, core.ZERO_HEATING, np.geomspace(1, 1e4, 31))
         assert np.all(np.diff(table.n_m) < 0)
+
+    def test_overflowing_coupling_is_named(self, device_a):
+        with pytest.raises(OverflowError, match=r"n_c = 1e\+300 overflows the coupling g0\^2 n_c"):
+            core.cooling_curve(device_a, core.ZERO_HEATING, [1.0, 1e300])
+
+    def test_overflowing_term_raises_without_a_warning(self, device_a):
+        # g0^2 n_c is finite here, but g^2 kappa is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"n_c = 1e\+290 overflows the cooling curve"):
+                core.cooling_curve(device_a, core.ZERO_HEATING, [1.0, 1e290])
+
+
+def same_bits(array, scalars) -> bool:
+    """``array`` holds, element by element, exactly the floats ``scalars``."""
+    want = np.array(scalars, dtype=float)
+    return array.shape == want.shape and array.tobytes() == want.tobytes()
+
+
+# positive finite grids, small enough that no term overflows: a few drawn
+# points, or a geometric grid of up to 2000 (numpy's x**2 and log1p differ from
+# libm's in the last bit on roughly one point in a thousand)
+GRIDS = st.one_of(
+    st.lists(st.floats(min_value=1e-8, max_value=1e12), min_size=1, max_size=40),
+    st.builds(lambda lo, decades, n: np.geomspace(lo, lo * 10.0**decades, n).tolist(),
+              st.floats(min_value=1e-8, max_value=1e4), st.floats(min_value=0.0, max_value=8.0),
+              st.integers(min_value=1, max_value=2000)),
+)
+
+
+class TestArrayNative:
+    """An array argument gives the bits of the per-element scalar call."""
+
+    @given(GRIDS)
+    def test_cooperativity(self, values):
+        device = core.DEVICE_PRESETS["A"]
+        assert same_bits(core.cooperativity(device, np.array(values)),
+                         [core.cooperativity(device, n) for n in values])
+
+    @given(GRIDS, st.sampled_from([-1.0, -0.5, 0.0, 1.0]))
+    def test_backaction(self, values, detuning_in_omega_m):
+        device = core.DEVICE_PRESETS["B"]
+        detuning = detuning_in_omega_m * device.mechanical.omega_m
+        arrays = core.backaction(device, np.array(values), detuning)
+        scalars = [core.backaction(device, n, detuning) for n in values]
+        for field in dataclasses.fields(core.BackactionResult):
+            assert same_bits(getattr(arrays, field.name),
+                             [getattr(s, field.name) for s in scalars]), field.name
+
+    @given(GRIDS)
+    def test_heating_model_occupancy(self, values):
+        device = core.DEVICE_PRESETS["A"]
+        assert same_bits(
+            core.heating_model_occupancy(device, core.DEFAULT_HEATING, np.array(values)),
+            [core.heating_model_occupancy(device, core.DEFAULT_HEATING, n) for n in values])
+
+    @given(GRIDS)
+    def test_temperature_from_occupancy(self, values):
+        omega_m = core.DEVICE_PRESETS["A"].mechanical.omega_m
+        assert same_bits(core.temperature_from_occupancy(omega_m, np.array(values)),
+                         [core.temperature_from_occupancy(omega_m, n) for n in values])
+
+    def test_cooling_curve_matches_scalar_calls(self, device_a):
+        grid = np.geomspace(0.01, 1e4, 2001)
+        curve = core.cooling_curve(device_a, core.DEFAULT_HEATING, grid)
+        omega_m = device_a.mechanical.omega_m
+        points = [core.backaction(device_a, n, -omega_m) for n in grid.tolist()]
+        assert same_bits(curve.cooperativity, [p.cooperativity for p in points])
+        assert same_bits(curve.gamma_eff, [p.gamma_eff for p in points])
+        assert same_bits(curve.n_m, [core.heating_model_occupancy(
+            device_a, core.DEFAULT_HEATING, n) for n in grid.tolist()])
+        # the effective temperature keeps libm's log1p
+        t_eff = core.temperature_from_occupancy(omega_m, curve.n_m)
+        assert same_bits(t_eff, [HBAR * omega_m / (K_B * math.log1p(1.0 / n))
+                                 for n in curve.n_m.tolist()])
+
+    def test_scalars_stay_python_floats(self, device_a):
+        assert type(core.cooperativity(device_a, 10.0)) is float
+        assert type(core.backaction(device_a, 10.0, 0.0).gamma_eff) is float
+        assert type(core.temperature_from_occupancy(1e10, 0.5)) is float
+
+    def test_array_inputs_are_validated(self, device_a):
+        with pytest.raises(ValueError, match="n_c must be >= 0"):
+            core.heating_model_occupancy(device_a, core.ZERO_HEATING, [1.0, -1.0])
+        with pytest.raises(ValueError, match="occupancy must be finite, got nan"):
+            core.temperature_from_occupancy(1e10, [0.5, math.nan])
+        with pytest.raises(ValueError, match="occupancy must be positive"):
+            core.temperature_from_occupancy(1e10, np.array([0.5, 0.0]))
 
 
 class TestPresetsAndSerialization:

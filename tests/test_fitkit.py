@@ -41,10 +41,6 @@ class TestModelFunctions:
         f = fitkit.fano(x, 0.0, 2.0, 1e4, 1.0 / 1e8, 0.0)
         assert np.max(np.abs(f - lor)) < 1e-3
 
-    def test_fano_model_validation(self):
-        with pytest.raises(ValueError):
-            fitkit.FanoModel(center=0.0, width=0.0, q_fano=1.0, amplitude=1.0, offset=0.0)
-
 
 class TestJacobians:
     def test_lorentzian_jacobian_matches_finite_differences(self):
@@ -323,15 +319,6 @@ class TestHeatingParamsFit:
         assert res.params["alpha_sat"] == pytest.approx(0.324, rel=1e-9)
         assert res.params["beta_sat"] == pytest.approx(0.019, rel=1e-9)
         assert res.params["alpha_lin"] == pytest.approx(0.003, rel=1e-9)
-
-    def test_result_converts_to_heating_params(self, device_a):
-        res = fitkit.fit_heating_params(self.GRID, self.synthetic(device_a), device_a)
-        params = fitkit.heating_params_from_fit(res)
-        assert isinstance(params, core.HeatingParams)
-        n_check = core.heating_model_occupancy(device_a, params, 4800.0)
-        assert n_check == pytest.approx(
-            core.heating_model_occupancy(device_a, core.DEFAULT_HEATING, 4800.0), rel=1e-9
-        )
 
     def test_too_few_points_rejected(self, device_a):
         with pytest.raises(ValueError):

@@ -48,6 +48,45 @@ def half_max_width(x: np.ndarray, y: np.ndarray) -> float:
     return crossing(i2, i2 + 1) - crossing(i1, i1 - 1)
 
 
+def reflection_formula(device: core.Device, n_c: float, detuning: float, omega):
+    """omit_reflection's docstring formula written out in plain numpy expressions."""
+    g2 = device.g0**2 * n_c
+    kappa, kappa_e = device.optical.kappa, device.optical.kappa_e
+    gamma0, omega_m = device.mechanical.gamma_0, device.mechanical.omega_m
+    if detuning <= 0:
+        chi_o = 1.0 / (kappa / 2.0 - 1j * (detuning + omega))
+        chi_m = 1.0 / (gamma0 / 2.0 - 1j * (omega - omega_m))
+        return 1.0 - kappa_e * chi_o / (1.0 + g2 * chi_o * chi_m)
+    chi_o = 1.0 / (kappa / 2.0 + 1j * (omega - detuning))
+    chi_m = 1.0 / (gamma0 / 2.0 + 1j * (omega - omega_m))
+    return 1.0 - kappa_e * chi_o / (1.0 - g2 * chi_o * chi_m)
+
+
+class TestReflectionMap:
+    """One broadcast over detunings gives the bits of the formula per detuning."""
+
+    @pytest.mark.parametrize("detunings_in_omega_m", [
+        [-1.5, -1.0, -0.5], [0.5, 1.0, 1.5], [-1.0, 0.0, 0.25, -0.25, 1.0],
+    ])
+    def test_rows_equal_the_formula(self, device_a, detunings_in_omega_m):
+        omega_m = device_a.mechanical.omega_m
+        detunings = omega_m * np.array(detunings_in_omega_m)
+        omega = np.linspace(0.8 * omega_m, 1.2 * omega_m, 2001)
+        r = spectra.omit_reflection_map(device_a, 3000.0, detunings, omega)
+        assert r.shape == (detunings.size, omega.size)
+        for k, detuning in enumerate(detunings.tolist()):
+            want = reflection_formula(device_a, 3000.0, detuning, omega)
+            assert r[k].tobytes() == want.tobytes()
+            trace = spectra.omit_reflection(device_a, 3000.0, detuning, omega)
+            assert trace.values.tobytes() == want.tobytes()
+
+    def test_checks_n_c(self, device_a):
+        omega = np.array([1.0, 2.0])
+        for n_c, text in ((np.nan, "finite"), (-1.0, ">= 0"), (1e300, "overflows")):
+            with pytest.raises(ValueError, match=text):
+                spectra.omit_reflection_map(device_a, n_c, [0.0], omega)
+
+
 class TestSpectrumTrace:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -56,6 +95,10 @@ class TestSpectrumTrace:
     def test_non_increasing_grid_rejected(self):
         with pytest.raises(ValueError):
             spectra.SpectrumTrace(np.array([1.0, 1.0, 2.0]), np.zeros(3))
+
+    def test_nan_step_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            spectra.SpectrumTrace(np.array([1.0, np.nan, 2.0]), np.zeros(3))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
