@@ -47,6 +47,7 @@ class _Sub:
         self.parser = parser
         self.defaults: dict = {}
         self.types: dict = {}
+        self.choices: dict = {}
         self.required: list[str] = []
 
     def add(self, *flags, default=None, type=str, required=False, choices=None,
@@ -58,6 +59,7 @@ class _Sub:
                                  metavar=metavar)
         self.defaults[dest] = default
         self.types[dest] = type
+        self.choices[dest] = choices
         if required:
             self.required.append(dest)
 
@@ -94,6 +96,9 @@ def _merge_args(ns: argparse.Namespace) -> argparse.Namespace:
         for key, raw in _read_config(config_path).items():
             if key in sub.defaults:
                 merged[key] = sub.types[key](raw)
+                if sub.choices[key] is not None and merged[key] not in sub.choices[key]:
+                    raise ValueError(f"{config_path}: {key} = {raw!r} is not one of "
+                                     f"{', '.join(sub.choices[key])}")
             else:
                 print(f"warning: config key {key!r} not used by this command",
                       file=sys.stderr)
@@ -204,12 +209,11 @@ def _cmd_device(args) -> int:
 def _cmd_cool_curve(args) -> int:
     device = _load_device(args.device)
     heating = _load_heating(args.heating)
-    core._check_finite("nc-min", args.nc_min)
-    core._check_finite("nc-max", args.nc_max)
-    if not (args.nc_min > 0 and args.nc_max > args.nc_min):
+    core._check("nc-min", args.nc_min)
+    core._check("nc-max", args.nc_max)
+    if not 0 < args.nc_min < args.nc_max:
         raise ValueError("need 0 < nc-min < nc-max")
-    if args.points < 2:
-        raise ValueError("points must be >= 2")
+    core._check("points", args.points, ge=2)
     grid = np.geomspace(args.nc_min, args.nc_max, int(args.points))
     curve = core.cooling_curve(device, heating, grid)
     t_eff = core.temperature_from_occupancy(device.mechanical.omega_m, curve.n_m)
@@ -230,11 +234,8 @@ def _grid_hz(flag: str, lo: float, hi: float, points: int) -> np.ndarray:
 
 
 def _probe_grid(device: core.Device, span_hz: float, points: int) -> np.ndarray:
-    core._check_finite("span-hz", span_hz)
-    if span_hz <= 0:
-        raise ValueError("span-hz must be positive")
-    if points < 2:
-        raise ValueError("points must be >= 2")
+    core._check("span-hz", span_hz, positive=True)
+    core._check("points", points, ge=2)
     f_m = angular_to_hz(device.mechanical.omega_m)
     return hz_to_angular(_grid_hz("span-hz", f_m - span_hz / 2.0, f_m + span_hz / 2.0,
                                   points))
@@ -245,9 +246,8 @@ def _cmd_omit(args) -> int:
     if args.detuning_hz is None:
         detuning = -device.mechanical.omega_m
     else:
-        core._check_finite("detuning-hz", args.detuning_hz)
-        detuning = hz_to_angular(args.detuning_hz)
-        core._check_finite("detuning-hz in rad/s", detuning)
+        core._check("detuning-hz", args.detuning_hz)
+        detuning = core._check("detuning-hz in rad/s", hz_to_angular(args.detuning_hz))
     probe = _probe_grid(device, args.span_hz, args.points)
     trace = spectra.omit_reflection(device, args.nc, detuning, probe)
     table.write_table(spectra.trace_columns(trace), args.out, args.format)
@@ -259,12 +259,11 @@ def _cmd_omit_map(args) -> int:
     f_m = angular_to_hz(device.mechanical.omega_m)
     lo = -1.5 * f_m if args.detuning_min_hz is None else args.detuning_min_hz
     hi = -0.5 * f_m if args.detuning_max_hz is None else args.detuning_max_hz
-    core._check_finite("detuning-min-hz", lo)
-    core._check_finite("detuning-max-hz", hi)
+    core._check("detuning-min-hz", lo)
+    core._check("detuning-max-hz", hi)
     if not hi > lo:
         raise ValueError("need detuning-min-hz < detuning-max-hz")
-    if args.detuning_points < 2:
-        raise ValueError("detuning-points must be >= 2")
+    core._check("detuning-points", args.detuning_points, ge=2)
     probe = _probe_grid(device, args.span_hz, args.points)
     detunings_hz = _grid_hz("detuning-min-hz/detuning-max-hz", lo, hi,
                             args.detuning_points)
@@ -301,6 +300,7 @@ def _cmd_pulse_sim(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    core._check("pulses", args.pulses, ge=1)
     blue = pulsed.read_clicks_csv(args.blue)
     red = pulsed.read_clicks_csv(args.red)
     for clicks in (blue, red):  # a contradicting file is an input error, not exit 1
@@ -329,8 +329,7 @@ def _cmd_histogram(args) -> int:
 
 def _cmd_taper(args) -> int:
     design = _load_design(args.device)
-    if args.cells < 1:
-        raise ValueError("cells must be >= 1")
+    core._check("cells", args.cells, ge=1)
     schedule = geometry.generate_schedule(design, n_cells=int(args.cells))
     table.write_table(geometry.schedule_columns(schedule), args.out, args.format)
     return 0
@@ -510,8 +509,11 @@ def main(argv=None) -> int:
     try:
         args = _merge_args(ns)
         return ns._func(args)
-    except (KeyError, FileNotFoundError) as exc:
-        message = exc.args[0] if exc.args else exc
+    except KeyError as exc:
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
     except ValueError as exc:

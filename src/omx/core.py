@@ -54,24 +54,34 @@ __all__ = [
 _T_CLAMP = 1e-6
 
 
-def _check_finite(name: str, value) -> None:
-    finite = np.isfinite(value)
-    if not np.all(finite):
-        if np.ndim(value):
-            value = np.asarray(value)[~finite][0].item()
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def _check(name: str, value, *, positive: bool = False, ge=None, within=None):
+    """``value`` (a scalar or a numpy array) if it is finite and within its bound.
+
+    Every element must be finite; then at most one bound applies:
+    ``positive`` (> 0), ``ge=k`` (>= k) or ``within=(lo, hi)`` (closed).
+    Anything else raises ``ValueError`` naming ``name``.
+    """
+    if isinstance(value, np.ndarray) and value.ndim:
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got {value[~finite][0].item()!r}")
+        some = np.any
+    elif isinstance(value, (int, np.integer)) or math.isfinite(value):
+        some = bool  # an int is finite, even one too large for math.isfinite
+    else:
+        raise ValueError(f"{name} must be finite, got {float(value)!r}")
+    if positive and some(value <= 0):
+        raise ValueError(f"{name} must be positive")
+    if ge is not None and some(value < ge):
+        raise ValueError(f"{name} must be >= {ge}")
+    if within is not None and some((value < within[0]) | (value > within[1])):
+        raise ValueError(f"{name} must lie in [{within[0]}, {within[1]}]")
+    return value
 
 
 def _values(x):
     """A scalar as it is, anything else as a float array."""
     return x if np.ndim(x) == 0 else np.asarray(x, dtype=float)
-
-
-def _photons(n_c):
-    n_c = _values(n_c)
-    if np.any(n_c < 0):
-        raise ValueError("n_c must be >= 0")
-    return n_c
 
 
 def _libm(func, x, *args):
@@ -94,8 +104,9 @@ class OpticalMode:
     kappa_e: float  # rad/s, extrinsic (waveguide) part
 
     def __post_init__(self):
-        if not self.omega_c > 0:
-            raise ValueError("omega_c must be positive")
+        _check("omega_c", self.omega_c, positive=True)
+        _check("kappa", self.kappa)
+        _check("kappa_e", self.kappa_e)
         if not 0 < self.kappa_e <= self.kappa:
             raise ValueError("require 0 < kappa_e <= kappa")
 
@@ -116,8 +127,8 @@ class MechanicalMode:
     gamma_0: float  # rad/s
 
     def __post_init__(self):
-        if not self.omega_m > 0:
-            raise ValueError("omega_m must be positive")
+        _check("omega_m", self.omega_m, positive=True)
+        _check("gamma_0", self.gamma_0)
         if not 0 < self.gamma_0 < self.omega_m:
             raise ValueError("require 0 < gamma_0 < omega_m")
 
@@ -145,8 +156,9 @@ class Device:
     g0_alt: float | None = None
 
     def __post_init__(self):
-        if not self.g0 > 0:
-            raise ValueError("g0 must be positive")
+        _check("g0", self.g0, positive=True)
+        if self.g0_alt is not None:
+            _check("g0_alt", self.g0_alt, positive=True)
 
     @property
     def sideband_resolved(self) -> bool:
@@ -173,14 +185,13 @@ class Drive:
     n_c_override: float | None = None
 
     def __post_init__(self):
-        if not self.omega_l > 0:
-            raise ValueError("omega_l must be positive")
+        _check("detuning", self.detuning)
+        _check("omega_l", self.omega_l, positive=True)
         if (self.on_chip_power is None) == (self.n_c_override is None):
             raise ValueError("exactly one of on_chip_power / n_c_override must be set")
-        if self.on_chip_power is not None and self.on_chip_power < 0:
-            raise ValueError("on_chip_power must be >= 0")
-        if self.n_c_override is not None and self.n_c_override < 0:
-            raise ValueError("n_c_override must be >= 0")
+        for name in ("on_chip_power", "n_c_override"):
+            if getattr(self, name) is not None:
+                _check(name, getattr(self, name), ge=0)
 
     @classmethod
     def at_detuning(
@@ -206,8 +217,7 @@ class HeatingParams:
 
     def __post_init__(self):
         for name in ("n_th0", "alpha_sat", "beta_sat", "alpha_lin"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            _check(name, getattr(self, name), ge=0)
 
 
 @dataclass(frozen=True)
@@ -226,12 +236,8 @@ def thermal_occupancy(frequency: float, temperature: float) -> float:
 
     Returns 0 at T = 0 (and below the 1 uK double-precision clamp).
     """
-    _check_finite("frequency", frequency)
-    _check_finite("temperature", temperature)
-    if frequency <= 0:
-        raise ValueError("frequency must be positive")
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    _check("frequency", frequency, positive=True)
+    _check("temperature", temperature, ge=0)
     if temperature < _T_CLAMP:
         return 0.0
     x = HBAR * frequency / (K_B * temperature)
@@ -242,13 +248,8 @@ def thermal_occupancy(frequency: float, temperature: float) -> float:
 
 def temperature_from_occupancy(frequency, occupancy):
     """Exact inverse of :func:`thermal_occupancy` (kelvin)."""
-    frequency, occupancy = _values(frequency), _values(occupancy)
-    _check_finite("frequency", frequency)
-    _check_finite("occupancy", occupancy)
-    if np.any(frequency <= 0):
-        raise ValueError("frequency must be positive")
-    if np.any(occupancy <= 0):
-        raise ValueError("occupancy must be positive")
+    frequency = _check("frequency", _values(frequency), positive=True)
+    occupancy = _check("occupancy", _values(occupancy), positive=True)
     return HBAR * frequency / (K_B * _libm(math.log1p, 1.0 / occupancy))
 
 
@@ -266,7 +267,7 @@ def intracavity_photons(optical: OpticalMode, drive: Drive) -> float:
 
 def cooperativity(device: Device, n_c):
     """C = 4 g0^2 n_c / (kappa * gamma_0)."""
-    n_c = _photons(n_c)
+    n_c = _check("n_c", _values(n_c), ge=0)
     return 4.0 * device.g0**2 * n_c / (device.optical.kappa * device.mechanical.gamma_0)
 
 
@@ -276,6 +277,7 @@ def resolved_sideband_damping(device: Device, n_c: float) -> float:
     This is the deep-sideband-resolved limit of :func:`backaction` at
     ``detuning = -omega_m``; exposed separately for convergence checks.
     """
+    _check("n_c", n_c, ge=0)
     return 4.0 * device.g0**2 * n_c / device.optical.kappa
 
 
@@ -288,7 +290,8 @@ def backaction(device: Device, n_c, detuning: float) -> BackactionResult:
     The spring shift is the corresponding dispersive combination. An array
     ``n_c`` gives array fields.
     """
-    n_c = _photons(n_c)
+    n_c = _check("n_c", _values(n_c), ge=0)
+    _check("detuning", detuning)
     kappa = device.optical.kappa
     omega_m = device.mechanical.omega_m
     g = device.g0 * (math.sqrt(n_c) if np.ndim(n_c) == 0 else np.sqrt(n_c))
@@ -312,7 +315,7 @@ def heating_model_occupancy(device: Device, heating: HeatingParams, n_c):
 
     n_m = (n_th0 + alpha_sat*n_c/(1 + beta_sat*n_c) + alpha_lin*n_c) / (1 + C)
     """
-    n_c = _photons(n_c)
+    n_c = _check("n_c", _values(n_c), ge=0)
     bath = (
         heating.n_th0
         + heating.alpha_sat * n_c / (1.0 + heating.beta_sat * n_c)
@@ -340,8 +343,7 @@ def cooling_curve(device: Device, heating: HeatingParams, n_c_grid) -> CoolingTa
     grid = np.asarray(n_c_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("n_c grid must be nonempty")
-    if np.any(grid <= 0):
-        raise ValueError("n_c grid must be strictly positive")
+    _check("n_c grid", grid, positive=True)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("n_c grid must be strictly increasing")
     top = float(grid[-1])

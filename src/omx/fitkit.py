@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import angular_to_hz
-from .core import DEFAULT_HEATING, Device, cooperativity
+from .core import DEFAULT_HEATING, Device, _check, cooperativity
 
 __all__ = [
     "FitResult",
@@ -339,6 +339,8 @@ def fit_g0_from_linewidths(
         raise ValueError("need at least 2 points")
     if branch not in ("red", "blue"):
         raise ValueError("branch must be 'red' or 'blue'")
+    _check("kappa", kappa, positive=True)
+    _check("gamma_0", gamma_0, positive=True)
     w = np.ones_like(x) if sigma is None else 1.0 / np.asarray(sigma, dtype=float) ** 2
     yc = y - gamma_0
     sxx = float((w * x * x).sum())
@@ -380,6 +382,8 @@ def fit_heating_params(
     x = np.asarray(n_c, dtype=float)
     y = np.asarray(n_m, dtype=float)
     free_n0 = n_th0 is None
+    if not free_n0:
+        _check("n_th0", n_th0, ge=0)
     if x.size < (5 if free_n0 else 4):
         raise ValueError("not enough points for the number of free coefficients")
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import table
+from .core import _check
 
 __all__ = [
     "UnitCellParams",
@@ -49,8 +50,7 @@ class UnitCellParams:
 
     def __post_init__(self):
         for name in ("a", "w", "r", "u_y", "fillet", "d", "h"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            _check(name, getattr(self, name), positive=True)
         if not self.d < self.a:
             raise ValueError("d must be smaller than the lattice constant")
         if not self.h < self.a:
@@ -74,6 +74,11 @@ class DesignParams:
     delta_x: float
     m_exp: float
 
+    def __post_init__(self):
+        for name in ("a", "w", "r", "u_y", "fillet", "d0", "h0", "d17", "h17",
+                     "delta_x", "m_exp"):
+            _check(name, getattr(self, name), positive=True)
+
 
 DESIGN_PRESETS = {
     "A": DesignParams(label="A", a=448.0, w=92.0, r=167.0, u_y=356.0,
@@ -91,13 +96,11 @@ def taper_value(n, v0: float, vN: float, delta_x: float, m_exp: float):
     Exactly v0 at n = 0 and the midpoint (v0+vN)/2 at n = delta_x; tends to
     vN as n grows.
     """
-    if delta_x <= 0:
-        raise ValueError("delta_x must be positive")
-    if m_exp <= 0:
-        raise ValueError("m_exp must be positive")
-    idx = np.asarray(n, dtype=float)
-    if np.any(idx < 0):
-        raise ValueError("cell index must be >= 0")
+    _check("v0", v0)
+    _check("vN", vN)
+    _check("delta_x", delta_x, positive=True)
+    _check("m_exp", m_exp, positive=True)
+    idx = _check("cell index", np.asarray(n, dtype=float), ge=0)
     v = vN - (vN - v0) * 2.0 ** (-((idx / delta_x) ** m_exp))
     v = np.where(idx == 0.0, v0, v)
     if np.isscalar(n) or idx.ndim == 0:
@@ -117,8 +120,7 @@ class TaperSchedule:
     constants: dict  # untapered cell parameters in nm
 
     def __post_init__(self):
-        if self.n_cells < 1:
-            raise ValueError("n_cells must be >= 1")
+        _check("n_cells", self.n_cells, ge=1)
         for name, table in self.values.items():
             if len(table) != self.n_cells + 1:
                 raise ValueError(f"{name} table must have n_cells+1 entries")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Device
+from .core import Device, _check
 from . import fitkit, table
 
 __all__ = [
@@ -63,16 +63,14 @@ class PulseTrain:
     n_pulses: int
 
     def __post_init__(self):
-        if not self.rep_rate > 0:
-            raise ValueError("rep_rate must be positive")
+        _check("rep_rate", self.rep_rate, positive=True)
+        _check("tau", self.tau)
         if not 0 < self.tau < 1.0 / self.rep_rate:
             raise ValueError("need 0 < tau < 1/rep_rate")
         if self.detuning_sign not in ("red", "blue"):
             raise ValueError("detuning_sign must be 'red' or 'blue'")
-        if self.n_pulses < 1:
-            raise ValueError("n_pulses must be >= 1")
-        if self.peak_power < 0:
-            raise ValueError("peak_power must be >= 0")
+        _check("n_pulses", self.n_pulses, ge=1)
+        _check("peak_power", self.peak_power, ge=0)
 
 
 @dataclass(frozen=True)
@@ -84,12 +82,9 @@ class DetectionChain:
     window: float = 80e-9  # detection gate per pulse (s)
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-        if self.dark_rate < 0:
-            raise ValueError("dark_rate must be >= 0")
-        if not self.window > 0:
-            raise ValueError("window must be positive")
+        _check("eta", self.eta, within=(0, 1))
+        _check("dark_rate", self.dark_rate, ge=0)
+        _check("window", self.window, positive=True)
 
     @property
     def dark_per_pulse(self) -> float:
@@ -105,8 +100,8 @@ class HeatingKernel:
     n_base: float = 0.0
 
     def __post_init__(self):
-        if self.delta < 0 or self.tau_th < 0 or self.n_base < 0:
-            raise ValueError("kernel parameters must be >= 0")
+        for name in ("delta", "tau_th", "n_base"):
+            _check(name, getattr(self, name), ge=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +124,8 @@ class ClickStream:
         if not (pulse_index.ndim == t.ndim == label.ndim == 1
                 and pulse_index.size == t.size == label.size):
             raise ValueError("click columns must be 1-d arrays of equal length")
-        if not (np.all(pulse_index >= 0) and np.all(t >= 0)):
-            raise ValueError("pulse_index and click time must be >= 0")
+        _check("pulse_index", pulse_index, ge=0)
+        _check("click time", t, ge=0)
         if not np.all((label >= 0) & (label < len(LABELS))):
             raise ValueError(f"label must be a code into {LABELS}")
         object.__setattr__(self, "pulse_index", pulse_index)
@@ -176,10 +171,8 @@ def scattering_probability(device: Device, n_c: float, tau: float) -> float:
     p_s*(n+1) and the red-detuned rate p_s*n. Warns above 0.2 where the
     linear single-scattering picture degrades.
     """
-    if n_c < 0:
-        raise ValueError("n_c must be >= 0")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    _check("n_c", n_c, ge=0)
+    _check("tau", tau, ge=0)
     p_s = 4.0 * device.g0**2 * n_c * tau / device.optical.kappa
     if p_s > 0.2:
         warnings.warn(f"scattering probability {p_s:.3f} > 0.2; linearized "
@@ -195,8 +188,7 @@ def steady_state_prepulse_occupancy(kernel: HeatingKernel, rep_rate: float) -> f
     the kick lands at pulse start, so the value seen by the pulse (and
     returned here) is n_pre + delta = n_base + delta/(1-x).
     """
-    if not rep_rate > 0:
-        raise ValueError("rep_rate must be positive")
+    _check("rep_rate", rep_rate, positive=True)
     if kernel.delta == 0.0:
         return kernel.n_base
     if kernel.tau_th == 0.0:
@@ -227,8 +219,9 @@ def fit_heating_kernel(points, n_base: float = 0.0) -> HeatingKernel:
     occ = np.array([p[1] for p in pts])
     if np.any(np.diff(rates) == 0):
         raise ValueError("calibration points must have distinct rep rates")
-    if not np.all(rates > 0):
-        raise ValueError("rep rates must be positive")
+    _check("rep rates", rates, positive=True)
+    _check("occupancies", occ)
+    _check("n_base", n_base, ge=0)
     excess = occ - n_base
     if np.any(excess <= 0):
         raise ValueError("occupancies must exceed the baseline")
@@ -358,9 +351,7 @@ def simulate_clicks(device: Device, train: PulseTrain, chain: DetectionChain,
 
 def _as_count(counts, n_pulses: int) -> int:
     if isinstance(counts, (int, np.integer)):
-        if counts < 0:
-            raise ValueError("counts must be >= 0")
-        return int(counts)
+        return int(_check("counts", counts, ge=0))
     counts.check_within(n_pulses)
     return len(counts)
 
@@ -378,8 +369,7 @@ def estimate_occupancy(counts_blue, counts_red, n_pulses_each: int,
     one count). A negative red rate clamps to zero and sets ``clamped``;
     B <= R is rejected as unresolvable.
     """
-    if n_pulses_each <= 0:
-        raise ValueError("n_pulses_each must be positive")
+    _check("n_pulses_each", n_pulses_each, positive=True)
     cb = _as_count(counts_blue, n_pulses_each)
     cr = _as_count(counts_red, n_pulses_each)
     n = n_pulses_each
@@ -426,10 +416,9 @@ def histogram(clicks: ClickStream, bin_width: float, n_pulses: int,
     A click beyond ``n_pulses`` or after the gate is an error; one exactly
     on the gate edge lands in the last bin.
     """
-    if not bin_width > 0:
-        raise ValueError("bin_width must be positive")
-    if n_pulses <= 0:
-        raise ValueError("n_pulses must be positive")
+    _check("bin_width", bin_width, positive=True)
+    _check("n_pulses", n_pulses, positive=True)
+    _check("window", window, positive=True)
     clicks.check_within(n_pulses, window)
     n_bins = max(int(math.ceil(window / bin_width - 1e-12)), 1)
     bin_start = np.arange(n_bins) * bin_width

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import table
 from .constants import angular_to_hz, hz_to_angular
-from .core import Device, _check_finite
+from .core import Device, _check
 
 __all__ = [
     "SpectrumTrace",
@@ -54,6 +54,7 @@ class SpectrumTrace:
             raise ValueError("freq and values must be 1-d arrays of equal length")
         if not np.all(np.diff(freq) > 0):
             raise ValueError("freq must be strictly increasing")
+        _check("freq", freq)
         if self.kind not in TRACE_KINDS:
             raise ValueError(f"kind must be one of {TRACE_KINDS}")
         object.__setattr__(self, "freq", freq)
@@ -89,10 +90,9 @@ class LorentzianComponent:
     area: float  # power units
 
     def __post_init__(self):
-        if not self.fwhm > 0:
-            raise ValueError("fwhm must be positive")
-        if self.area < 0:
-            raise ValueError("area must be >= 0")
+        _check("center", self.center)
+        _check("fwhm", self.fwhm, positive=True)
+        _check("area", self.area, ge=0)
 
 
 def omit_reflection(device: Device, n_c: float, detuning: float, probe_freq) -> SpectrumTrace:
@@ -125,14 +125,12 @@ def omit_reflection_map(device: Device, n_c: float, detunings, probe_freq) -> np
     Row ``k`` of the complex result is r(omega) over ``probe_freq`` at
     ``detunings[k]``, evaluated as one broadcast per sideband branch.
     """
-    _check_finite("n_c", n_c)
-    if n_c < 0:
-        raise ValueError("n_c must be >= 0")
+    _check("n_c", n_c, ge=0)
     g2 = device.g0**2 * n_c
     if not math.isfinite(g2):
         raise ValueError(f"n_c = {n_c!r} overflows the coupling g0^2 n_c")
-    omega = np.asarray(probe_freq, dtype=float)
-    delta = np.asarray(detunings, dtype=float).reshape(-1, 1)
+    omega = _check("probe_freq", np.asarray(probe_freq, dtype=float))
+    delta = _check("detunings", np.asarray(detunings, dtype=float)).reshape(-1, 1)
     red = delta[:, 0] <= 0
     if red.all() or not red.any():
         return _reflection(device, g2, delta, omega, bool(red.all()))
@@ -176,8 +174,8 @@ def normal_modes(device: Device, n_c: float, detuning: float) -> NormalModes:
     ``above_threshold`` reports g > |kappa - gamma_0|/4, the resonant
     hybridization condition.
     """
-    if n_c < 0:
-        raise ValueError("n_c must be >= 0")
+    _check("n_c", n_c, ge=0)
+    _check("detuning", detuning)
     kappa = device.optical.kappa
     gamma0 = device.mechanical.gamma_0
     omega_m = device.mechanical.omega_m
@@ -262,8 +260,8 @@ def occupancy_from_areas(
         ("mech_area_ref", mech_ref),
         ("cal_area_ref", cal_ref),
     ):
-        if not val > 0:
-            raise ValueError(f"{name} must be positive")
+        _check(name, val, positive=True)
+    _check("n_ref", n_ref, ge=0)
     return n_ref * (mech_area / cal_area) / (mech_ref / cal_ref)
 
 

@@ -394,6 +394,24 @@ def test_stderr_is_one_line_in_a_fresh_process(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "lorentzian", "--in", "{missing}"],
+    ["estimate", "--blue", "{missing}", "--red", "{missing}", "--pulses", "10"],
+    ["cool-curve", "--heating", "{missing}"],
+    ["pulse-sim", "--pulses", "10", "--kernel", "{missing}"],
+    ["taper", "--config", "{missing}"],
+    ["device", "export", "A", "{missing}/x.json"],
+    ["taper", "--out", "{dir}"],
+])
+def test_file_error_names_the_path(capsys, tmp_path, argv):
+    missing = str(tmp_path / "no_such")
+    argv = [a.format(missing=missing, dir=tmp_path) for a in argv]
+    path = missing if any(missing in a for a in argv) else str(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1
+
+
 class TestTaperCommand:
     def test_matches_library_writer(self, capsys, tmp_path):
         cli_path = tmp_path / "cli.csv"
@@ -530,6 +548,13 @@ class TestConfigFile:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 5
+
+    def test_config_value_outside_choices(self, capsys, tmp_path):
+        config = tmp_path / "taper.cfg"
+        config.write_text("format = xml\n")
+        code, out, err = run(capsys, "taper", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert "format" in err and "xml" in err
 
     def test_malformed_config_line(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -1,0 +1,167 @@
+"""Property test of the CLI contract: every command either succeeds with
+finite output or exits 1 (numeric failure) or 2 (usage or input error), and
+a non-finite number on the command line or in a JSON spec file is always a
+usage error."""
+
+import contextlib
+import io
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from omx import core, geometry
+from omx.cli import main
+
+SPECIAL = ("nan", "inf", "-inf", "0", "-1", "1e308")
+
+# float flags of each command, with values the command accepts; only flags the
+# command reads are listed, so a non-finite value always reaches a check
+FLOATS = {
+    "omit": {"--nc": ("0", "100", "3000"), "--detuning-hz": ("-7.4e9", "0", "1e9"),
+             "--span-hz": ("1e8", "2e9")},
+    "omit-map": {"--nc": ("0", "1000"), "--detuning-min-hz": ("-1.1e10", "-8e9"),
+                 "--detuning-max-hz": ("-4e9", "1e9"), "--span-hz": ("1e8", "2e9")},
+    "cool-curve": {"--nc-min": ("0.01", "1"), "--nc-max": ("100", "1e4")},
+    "pulse-sim": {"--rep-rate": ("188e3", "3.012e6"), "--tau-ns": ("80", "40"),
+                  "--peak-power": ("7.4e-6", "7e-5"), "--eta": ("0.05", "1"),
+                  "--dark-rate": ("0", "5", "1e3"), "--window-ns": ("80", "100")},
+    "estimate": {"--dark-rate": ("0", "5"), "--window-ns": ("80", "40")},
+    "histogram": {"--bin-ns": ("0.5", "4", "80"), "--window-ns": ("80", "100")},
+    "taper": {},
+    "fit g0": {"--kappa-hz": ("0.8e9", "1.1e9"), "--gamma0-hz": ("206e3", "715e3")},
+    "fit heating": {"--n-th0": ("7.95", "0", "free")},
+}
+INTS = {
+    "omit": {"--points": ("2", "11", "51")},
+    "omit-map": {"--points": ("3", "11"), "--detuning-points": ("2", "5")},
+    "cool-curve": {"--points": ("2", "5", "50")},
+    "pulse-sim": {"--pulses": ("1", "200", "2000"), "--seed": ("0", "7")},
+    "estimate": {"--pulses": ("0", "1", "2000")},
+    "histogram": {"--pulses": ("0", "1", "2000")},
+    "taper": {"--cells": ("0", "1", "17")},
+    "fit g0": {},
+    "fit heating": {},
+}
+# the JSON spec flag of each command and the kind of file it reads
+SPECS = {"omit": ("--device", "device"), "omit-map": ("--device", "device"),
+         "cool-curve": ("--heating", "heating"), "pulse-sim": ("--kernel", "kernel"),
+         "taper": ("--device", "design"), "fit g0": ("--device", "device"),
+         "fit heating": ("--device", "device")}
+
+
+def _nan_specs():
+    device = core.device_to_json(core.DEVICE_PRESETS["A"])
+    design = geometry.design_to_json(geometry.DESIGN_PRESETS["B"])
+    good = {"device": device, "design": design,
+            "heating": {"n_th0": 7.95, "alpha_sat": 0.3, "beta_sat": 0.02, "alpha_lin": 0.003},
+            "kernel": {"delta": 0.03, "tau_th_us": 4.5, "n_base": 0.0}}
+    return good, {kind: [dict(spec, **{key: math.nan}) for key in spec if key != "label"]
+                  for kind, spec in good.items()}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    good, bad = _nan_specs()
+    paths = {"good": {}, "bad": {}}
+    for kind, spec in good.items():
+        paths["good"][kind] = root / f"{kind}.json"
+        paths["good"][kind].write_text(json.dumps(spec))
+        paths["bad"][kind] = []
+        for k, spec_nan in enumerate(bad[kind]):
+            path = root / f"{kind}_nan{k}.json"
+            path.write_text(json.dumps(spec_nan))  # a bare NaN token, as Python writes it
+            paths["bad"][kind].append(path)
+    for sign in ("blue", "red"):
+        path = root / f"{sign}.csv"
+        assert _run(["pulse-sim", "--pulses", "2000", "--detuning", sign, "--eta", "1",
+                     "--peak-power", "7e-5", "--out", str(path)])[0] == 0
+        paths[sign] = path
+    device = core.DEVICE_PRESETS["A"]
+    n_c = np.geomspace(10, 4000, 8)
+    gamma_hz = (device.mechanical.gamma_0 + 4 * device.g0**2 / device.optical.kappa * n_c) \
+        / (2 * math.pi)
+    paths["g0"] = root / "g0.csv"
+    paths["g0"].write_text("n_c,gamma_m_hz\n" + "".join(
+        f"{x!r},{y!r}\n" for x, y in zip(n_c.tolist(), gamma_hz.tolist())))
+    n_m = core.heating_model_occupancy(device, core.DEFAULT_HEATING, n_c)
+    paths["heating_data"] = root / "heating.csv"
+    paths["heating_data"].write_text("n_c,n_m\n" + "".join(
+        f"{x!r},{y!r}\n" for x, y in zip(n_c.tolist(), n_m.tolist())))
+    return paths
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@st.composite
+def invocations(draw, command, files):
+    """(argv, whether a non-finite number went in, whether stdout is JSON)."""
+    argv = command.split()
+    non_finite = False
+    for flag, values in FLOATS[command].items():
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(values + SPECIAL))
+            non_finite |= value != "free" and not math.isfinite(float(value))
+            argv.append(f"{flag}={value}")
+    for flag, values in INTS[command].items():
+        argv += [flag, draw(st.sampled_from(values))]
+    if command in SPECS:
+        flag, kind = SPECS[command]
+        spec = draw(st.sampled_from([None, files["good"][kind]] + files["bad"][kind]))
+        if spec is not None:
+            non_finite |= spec != files["good"][kind]
+            argv += [flag, str(spec)]
+    if command in ("estimate", "histogram"):
+        argv += ["--blue", str(files["blue"]), "--red", str(files["red"])]
+    if command == "fit g0":
+        argv += ["--in", str(files["g0"]), "--branch", "red"]
+    if command == "fit heating":
+        argv += ["--in", str(files["heating_data"])]
+    as_json = command in ("estimate", "fit g0", "fit heating")
+    if not as_json and draw(st.booleans()):
+        argv += ["--format", "json"]
+        as_json = True
+    return argv, non_finite, as_json
+
+
+@pytest.mark.parametrize("command", sorted(FLOATS))
+def test_cli_contract(files, command):
+    @settings(max_examples=50)
+    @given(invocations(command, files))
+    def check(case):
+        argv, non_finite, as_json = case
+        code, out, err = _run(argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        if non_finite:
+            assert code == 2, (argv, code, err)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if code == 2:
+            assert out == "", argv
+        elif as_json:
+            if code == 0 or out:  # a fit that did not converge still writes its result
+                _strict_json(out)
+        elif code == 0:
+            cells = {c.lower() for line in out.splitlines() for c in line.split(",")}
+            assert not cells & {"nan", "inf", "-inf"}, argv
+
+    check()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from omx import core
+from omx import core, fitkit, geometry, pulsed, spectra
 from omx.constants import HBAR, K_B, TWO_PI, angular_to_hz, hz_to_angular
 
 
@@ -445,3 +445,31 @@ class TestPresetsAndSerialization:
     def test_unknown_label_raises(self):
         with pytest.raises(KeyError):
             core.load_device("definitely-not-a-device")
+
+
+_DEV = core.DEVICE_PRESETS["A"]
+_TRAIN = dict(tau=80e-9, rep_rate=188e3, peak_power=7.4e-6, detuning_sign="blue", n_pulses=10)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("n_th0", lambda: core.HeatingParams(n_th0=math.nan)),
+    ("on_chip_power", lambda: core.Drive.at_detuning(_DEV.optical, 0.0, on_chip_power=math.nan)),
+    ("n_c", lambda: core.Drive.at_detuning(_DEV.optical, 0.0, n_c=math.nan)),
+    ("peak_power", lambda: pulsed.PulseTrain(**{**_TRAIN, "peak_power": math.nan})),
+    ("dark_rate", lambda: pulsed.DetectionChain(dark_rate=math.nan)),
+    ("delta", lambda: pulsed.HeatingKernel(delta=math.nan, tau_th=1e-6)),
+    ("tau_th", lambda: pulsed.HeatingKernel(delta=0.03, tau_th=math.inf)),
+    ("n_c", lambda: pulsed.scattering_probability(_DEV, math.nan, 80e-9)),
+    ("n_c", lambda: spectra.normal_modes(_DEV, math.nan, -_DEV.mechanical.omega_m)),
+    ("area", lambda: spectra.LorentzianComponent(1.0, 1.0, math.nan)),
+    ("freq", lambda: spectra.SpectrumTrace(np.array([-np.inf, np.inf]), np.zeros(2))),
+    ("delta_x", lambda: geometry.taper_value(2, 1.0, 2.0, math.nan, 2.0)),
+    ("delta_x", lambda: dataclasses.replace(geometry.DESIGN_PRESETS["A"], delta_x=math.nan)),
+    ("window", lambda: pulsed.histogram(pulsed.ClickStream([0], [1e-9], [1]), 4e-9, 10,
+                                        math.inf)),
+    ("kappa", lambda: fitkit.fit_g0_from_linewidths([1.0, 2.0], [3.0, 4.0], math.nan, 1.0,
+                                                    "red")),
+])
+def test_non_finite_argument_is_rejected_by_name(name, call):
+    with pytest.raises(ValueError, match=f"^{name}.* must be finite"):
+        call()
