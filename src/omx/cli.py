@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -122,14 +121,12 @@ def _load_heating(spec: str) -> core.HeatingParams:
         return core.DEFAULT_HEATING
     if spec == "zero":
         return core.ZERO_HEATING
-    with open(spec) as fh:
-        data = json.load(fh)
-    return core.HeatingParams(
-        n_th0=float(data["n_th0"]),
-        alpha_sat=float(data.get("alpha_sat", 0.0)),
-        beta_sat=float(data.get("beta_sat", 0.0)),
-        alpha_lin=float(data.get("alpha_lin", 0.0)),
-    )
+    return core._spec_file(spec, lambda data: core.HeatingParams(
+        n_th0=core._number(data, "n_th0"),
+        alpha_sat=core._number(data, "alpha_sat", 0.0),
+        beta_sat=core._number(data, "beta_sat", 0.0),
+        alpha_lin=core._number(data, "alpha_lin", 0.0),
+    ))
 
 
 def _load_kernel(spec: str) -> pulsed.HeatingKernel:
@@ -137,13 +134,11 @@ def _load_kernel(spec: str) -> pulsed.HeatingKernel:
         return pulsed.default_kernel()
     if spec == "zero":
         return pulsed.HeatingKernel(delta=0.0, tau_th=0.0, n_base=0.0)
-    with open(spec) as fh:
-        data = json.load(fh)
-    return pulsed.HeatingKernel(
-        delta=float(data["delta"]),
-        tau_th=float(data["tau_th_us"]) * 1e-6,
-        n_base=float(data.get("n_base", 0.0)),
-    )
+    return core._spec_file(spec, lambda data: pulsed.HeatingKernel(
+        delta=core._number(data, "delta"),
+        tau_th=core._number(data, "tau_th_us") * 1e-6,
+        n_base=core._number(data, "n_base", 0.0),
+    ))
 
 
 def _load_design(spec: str) -> geometry.DesignParams:

@@ -79,6 +79,37 @@ def _check(name: str, value, *, positive: bool = False, ge=None, within=None):
     return value
 
 
+def _number(data: dict, key: str, default: float | None = None) -> float:
+    """``data[key]`` of a JSON spec as a float, or ``default`` if the key is
+    absent (required if None). Anything but a JSON number within the float
+    range (``null``, a string, a bool, a list, ``10**400``) raises ValueError."""
+    if key not in data:
+        if default is None:
+            raise ValueError(f"{key} is missing")
+        return default
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is beyond the float range") from None
+
+
+def _spec_file(path, build):
+    """``build(data)`` for the JSON object in the file ``path``; a malformed
+    file or field raises ValueError naming the path."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
+        return build(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _values(x):
     """A scalar as it is, anything else as a float array."""
     return x if np.ndim(x) == 0 else np.asarray(x, dtype=float)
@@ -400,12 +431,13 @@ def device_to_json(device: Device) -> dict:
 
 
 def device_from_json(data: dict) -> Device:
-    g0_alt = data.get("g0_alt_hz")
     return Device(
-        optical=OpticalMode.from_hz(data["omega_c_hz"], data["kappa_hz"], data["kappa_e_hz"]),
-        mechanical=MechanicalMode.from_hz(data["omega_m_hz"], data["gamma0_hz"]),
-        g0=hz_to_angular(data["g0_hz"]),
-        g0_alt=None if g0_alt is None else hz_to_angular(g0_alt),
+        optical=OpticalMode.from_hz(*(_number(data, k)
+                                      for k in ("omega_c_hz", "kappa_hz", "kappa_e_hz"))),
+        mechanical=MechanicalMode.from_hz(_number(data, "omega_m_hz"),
+                                          _number(data, "gamma0_hz")),
+        g0=hz_to_angular(_number(data, "g0_hz")),
+        g0_alt=hz_to_angular(_number(data, "g0_alt_hz")) if "g0_alt_hz" in data else None,
         label=data.get("label", ""),
     )
 
@@ -423,10 +455,10 @@ def load_device(spec: str, search_dir: str | Path | None = None) -> Device:
     if search_dir is not None:
         candidate = Path(search_dir) / f"{spec}.json"
         if candidate.is_file():
-            return device_from_json(json.loads(candidate.read_text()))
+            return _spec_file(candidate, device_from_json)
     if spec in DEVICE_PRESETS:
         return DEVICE_PRESETS[spec]
     path = Path(spec)
     if path.is_file():
-        return device_from_json(json.loads(path.read_text()))
+        return _spec_file(path, device_from_json)
     raise KeyError(f"unknown device preset or file: {spec!r}")

@@ -107,6 +107,7 @@ def _fano_jac(x, p):
 # --- Gauss-Newton core ---
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def gauss_newton(
     residual_fn,
     jacobian_fn,

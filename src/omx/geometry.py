@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import table
-from .core import _check
+from .core import _check, _number, _spec_file
 
 __all__ = [
     "UnitCellParams",
@@ -206,20 +206,11 @@ def design_to_json(design: DesignParams) -> dict:
 
 
 def design_from_json(data: dict) -> DesignParams:
-    return DesignParams(
-        label=data.get("label", ""),
-        a=float(data["a_nm"]),
-        w=float(data["w_nm"]),
-        r=float(data["r_nm"]),
-        u_y=float(data["u_y_nm"]),
-        fillet=float(data["fillet_nm"]),
-        d0=float(data["d0_nm"]),
-        h0=float(data["h0_nm"]),
-        d17=float(data["d17_nm"]),
-        h17=float(data["h17_nm"]),
-        delta_x=float(data["delta_x"]),
-        m_exp=float(data["m_exp"]),
-    )
+    fields = {"a": "a_nm", "w": "w_nm", "r": "r_nm", "u_y": "u_y_nm", "fillet": "fillet_nm",
+              "d0": "d0_nm", "h0": "h0_nm", "d17": "d17_nm", "h17": "h17_nm",
+              "delta_x": "delta_x", "m_exp": "m_exp"}
+    return DesignParams(label=data.get("label", ""),
+                        **{name: _number(data, key) for name, key in fields.items()})
 
 
 def save_design(path, design: DesignParams) -> None:
@@ -229,5 +220,4 @@ def save_design(path, design: DesignParams) -> None:
 
 
 def load_design(path) -> DesignParams:
-    with open(path) as fh:
-        return design_from_json(json.load(fh))
+    return _spec_file(path, design_from_json)

@@ -454,7 +454,7 @@ def write_clicks_csv(path, clicks: ClickStream) -> None:
 
 def read_clicks_csv(path) -> ClickStream:
     cols = table.read_table(path, ("pulse_index", "t_ns", "label"),
-                            {"pulse_index": int, "label": LABELS.index})
+                            {"pulse_index": int, "label": LABELS})
     return ClickStream(cols["pulse_index"], cols["t_ns"] * 1e-9, cols["label"])
 
 

@@ -2,18 +2,21 @@
 
 CSV is a header row, then one ``\\n``-terminated row per entry, written
 ``CHUNK_ROWS`` rows at a time. A cell is ``str(int)``, ``repr(float)`` (so
-floats round-trip exactly), ``true``/``false`` or the string itself. JSON is
-one indented object mapping each name to its column as a list, written from
-the same cells (a string is JSON-quoted); its bytes are those of
-``json.dumps(..., indent=2)``. Each file layout lives next to its type
-(``pulsed.click_columns``, ``spectra.trace_columns``, ...).
+floats round-trip exactly), ``true``/``false`` or the string itself. It is
+read back by numpy's C parser in one call; ``csv`` scans a file again only to
+name the line of a fault. JSON is one indented object mapping each name to its
+column as a list, written from the same cells (a string is JSON-quoted); its
+bytes are those of ``json.dumps(..., indent=2)``. Each file layout lives next
+to its type (``pulsed.click_columns``, ``spectra.trace_columns``, ...).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -105,55 +108,66 @@ def read_table(path, header=None, types=None) -> dict:
     """Columns of a CSV table as numpy arrays, keyed by header name.
 
     ``header`` is the header required (any if None). ``types`` maps a name to
-    the parser of one cell: ``float`` (the default) gives a float64 column,
-    any other (``int``, ``tuple.index``) an int64 one. Rows are parsed
-    ``CHUNK_ROWS`` at a time and blank lines skipped. An empty file, another
-    header, a row of another width, a cell that does not parse or a float
-    cell that is not finite raises ``ValueError("path:line: ...")``.
+    ``int`` (an int64 column) or to a tuple of labels (int64 indices into it);
+    other columns are float64. After the header is checked, numpy's C parser
+    reads every row in one call, skipping blank lines. If it rejects a row, or
+    a float cell is not finite or a label unknown, a ``csv`` scan of the file
+    finds the first fault to raise ``ValueError("path:line: ...")``; if that
+    scan finds none (a quoted number, ``1_000``), ``"path: cannot parse table"``.
     """
     types = types or {}
     with open(path, newline="") as fh:
+        head = next(csv.reader(fh), None)
+    if not head:
+        raise ValueError(f"{path}:1: empty table, expected a header row")
+    if header is not None and head != list(header):
+        raise ValueError(f"{path}:1: expected header {','.join(header)!r}, "
+                         f"got {','.join(head)!r}")
+    kinds = [types.get(name, float) for name in head]
+    # fields by position (a name may repeat); a label field is latin-1 bytes
+    # (a quarter of the memory of str), one longer than any label so that no
+    # longer cell is cut down to a label
+    dtype = [(str(i), "i8" if kind is int else "f8" if kind is float
+              else f"S{max(map(len, kind)) + 1}") for i, kind in enumerate(kinds)]
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, dtype, delimiter=",", skiprows=1, comments=None, ndmin=1)
+        return {name: _column(rows[str(i)], kind)
+                for i, (name, kind) in enumerate(zip(head, kinds))}
+    except ValueError:
+        pass
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        head = next(reader, None)
-        if not head:
-            raise ValueError(f"{path}:1: empty table, expected a header row")
-        if header is not None and head != list(header):
-            raise ValueError(f"{path}:1: expected header {','.join(header)!r}, "
-                             f"got {','.join(head)!r}")
-        parsers = [types.get(name, float) for name in head]
-        chunks, rows, lines = [], [], []
+        next(reader)
         for row in reader:
-            if not row:
-                continue
-            if len(row) != len(head):
+            if row and len(row) != len(head):
                 raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, "
                                  f"the header has {len(head)}")
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == CHUNK_ROWS:
-                chunks.append(_parse_rows(path, head, parsers, rows, lines))
-                rows, lines = [], []
-        chunks.append(_parse_rows(path, head, parsers, rows, lines))
-    return {name: np.concatenate([c[i] for c in chunks]) for i, name in enumerate(head)}
-
-
-def _parse_rows(path, head, parsers, rows, lines) -> list:
-    out = []
-    for name, parse, cells in zip(head, parsers, zip(*rows) if rows else [()] * len(head)):
-        dtype = np.float64 if parse is float else np.int64
-        try:
-            column = np.fromiter(map(parse, cells), dtype, len(cells))
-        except (ValueError, OverflowError):
-            for k, cell in enumerate(cells):
+            for name, kind, cell in zip(head, kinds, row):
                 try:
-                    np.array(parse(cell), dtype)
+                    value = kind.index(cell) if isinstance(kind, tuple) else kind(cell)
+                    finite = math.isfinite(np.int64(value) if kind is int else value)
                 except (ValueError, OverflowError):
-                    raise ValueError(f"{path}:{lines[k]}: cannot read {name} "
+                    raise ValueError(f"{path}:{reader.line_num}: cannot read {name} "
                                      f"value {cell!r}") from None
-            raise
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"{path}:{lines[k]}: {name} value {cells[k]!r} is not finite")
-        out.append(column)
-    return out
+                if not finite:
+                    raise ValueError(f"{path}:{reader.line_num}: {name} value {cell!r} "
+                                     f"is not finite")
+    raise ValueError(f"{path}: cannot parse table")
+
+
+def _column(cells: np.ndarray, kind) -> np.ndarray:
+    """One parsed field as a column; ValueError on a non-finite float or an
+    unknown label."""
+    if isinstance(kind, tuple):
+        index = np.full(cells.size, -1, np.int64)
+        for k, label in enumerate(kind):
+            index[cells == label.encode("latin-1")] = k
+        cells, valid = index, index >= 0
+    else:
+        cells = np.ascontiguousarray(cells)
+        valid = np.isfinite(cells)
+    if not valid.all():
+        raise ValueError("a cell is not finite or not a label")
+    return cells

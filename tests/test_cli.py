@@ -394,6 +394,48 @@ def test_stderr_is_one_line_in_a_fresh_process(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_overflowing_fit_prints_one_line_in_a_fresh_process(tmp_path):
+    """A fit whose cost overflows exits 1 with one error line, no numpy warning."""
+    path = tmp_path / "heating.csv"
+    path.write_text("n_c,n_m\n" + "".join(f"{k}.0,{8 - k / 10}\n" for k in range(1, 7)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "omx", "fit", "heating", "--in", str(path),
+                           "--n-th0", "1e308"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["pulse-sim", "--pulses", "10", "--kernel", "{spec}"], "kernel"),
+    (["cool-curve", "--points", "3", "--heating", "{spec}"], "heating"),
+    (["omit", "--nc", "1", "--points", "3", "--device", "{spec}"], "device"),
+    (["taper", "--device", "{spec}"], "design"),
+])
+@pytest.mark.parametrize("value,text", [
+    (None, "must be a number, got null"), ("x", 'must be a number, got "x"'),
+    (True, "must be a number, got true"), ([], "must be a number, got []"),
+    (10**400, "is beyond the float range"), ("missing", "is missing"),
+])
+def test_wrong_typed_spec_field_names_file_and_key(capsys, tmp_path, argv, kind, value, text):
+    spec = {"kernel": {"delta": 0.03, "tau_th_us": 4.5},
+            "heating": {"n_th0": 7.95, "alpha_sat": 0.3},
+            "device": core.device_to_json(core.DEVICE_PRESETS["A"]),
+            "design": geometry.design_to_json(geometry.DESIGN_PRESETS["A"])}[kind]
+    key = list(spec)[-1]
+    if value == "missing":
+        key = next(k for k in spec if k != "label")
+        del spec[key]
+    else:
+        spec[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, *[a.replace("{spec}", str(path)) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {key} {text}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "lorentzian", "--in", "{missing}"],
     ["estimate", "--blue", "{missing}", "--red", "{missing}", "--pulses", "10"],

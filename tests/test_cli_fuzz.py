@@ -1,7 +1,8 @@
 """Property test of the CLI contract: every command either succeeds with
 finite output or exits 1 (numeric failure) or 2 (usage or input error), and
-a non-finite number on the command line or in a JSON spec file is always a
-usage error."""
+a non-finite number on the command line, or a value in a JSON spec file that
+is not a finite number, is always a usage error. No run prints a traceback or
+a numpy RuntimeWarning."""
 
 import contextlib
 import io
@@ -19,6 +20,8 @@ from omx import core, geometry
 from omx.cli import main
 
 SPECIAL = ("nan", "inf", "-inf", "0", "-1", "1e308")
+# spec field values that are not a finite number (NaN is written as a bare token)
+BAD_VALUES = (math.nan, None, "x", True, [], 10**400)
 
 # float flags of each command, with values the command accepts; only flags the
 # command reads are listed, so a non-finite value always reaches a check
@@ -55,28 +58,29 @@ SPECS = {"omit": ("--device", "device"), "omit-map": ("--device", "device"),
          "fit heating": ("--device", "device")}
 
 
-def _nan_specs():
+def _bad_specs():
     device = core.device_to_json(core.DEVICE_PRESETS["A"])
     design = geometry.design_to_json(geometry.DESIGN_PRESETS["B"])
     good = {"device": device, "design": design,
             "heating": {"n_th0": 7.95, "alpha_sat": 0.3, "beta_sat": 0.02, "alpha_lin": 0.003},
             "kernel": {"delta": 0.03, "tau_th_us": 4.5, "n_base": 0.0}}
-    return good, {kind: [dict(spec, **{key: math.nan}) for key in spec if key != "label"]
+    return good, {kind: [dict(spec, **{key: bad}) for key in spec if key != "label"
+                         for bad in BAD_VALUES]
                   for kind, spec in good.items()}
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    good, bad = _nan_specs()
+    good, bad = _bad_specs()
     paths = {"good": {}, "bad": {}}
     for kind, spec in good.items():
         paths["good"][kind] = root / f"{kind}.json"
         paths["good"][kind].write_text(json.dumps(spec))
         paths["bad"][kind] = []
-        for k, spec_nan in enumerate(bad[kind]):
-            path = root / f"{kind}_nan{k}.json"
-            path.write_text(json.dumps(spec_nan))  # a bare NaN token, as Python writes it
+        for k, spec_bad in enumerate(bad[kind]):
+            path = root / f"{kind}_bad{k}.json"
+            path.write_text(json.dumps(spec_bad))
             paths["bad"][kind].append(path)
     for sign in ("blue", "red"):
         path = root / f"{sign}.csv"
@@ -98,12 +102,13 @@ def files(tmp_path_factory):
 
 
 def _run(argv):
+    """Exit code, stdout, stderr and the categories of the warnings raised."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue(), {w.category for w in caught}
 
 
 def _strict_json(text):
@@ -114,13 +119,13 @@ def _strict_json(text):
 
 @st.composite
 def invocations(draw, command, files):
-    """(argv, whether a non-finite number went in, whether stdout is JSON)."""
+    """(argv, whether a non-finite number or a bad spec went in, whether stdout is JSON)."""
     argv = command.split()
-    non_finite = False
+    bad_input = False
     for flag, values in FLOATS[command].items():
         if draw(st.booleans()):
             value = draw(st.sampled_from(values + SPECIAL))
-            non_finite |= value != "free" and not math.isfinite(float(value))
+            bad_input |= value != "free" and not math.isfinite(float(value))
             argv.append(f"{flag}={value}")
     for flag, values in INTS[command].items():
         argv += [flag, draw(st.sampled_from(values))]
@@ -128,7 +133,7 @@ def invocations(draw, command, files):
         flag, kind = SPECS[command]
         spec = draw(st.sampled_from([None, files["good"][kind]] + files["bad"][kind]))
         if spec is not None:
-            non_finite |= spec != files["good"][kind]
+            bad_input |= spec != files["good"][kind]
             argv += [flag, str(spec)]
     if command in ("estimate", "histogram"):
         argv += ["--blue", str(files["blue"]), "--red", str(files["red"])]
@@ -140,7 +145,7 @@ def invocations(draw, command, files):
     if not as_json and draw(st.booleans()):
         argv += ["--format", "json"]
         as_json = True
-    return argv, non_finite, as_json
+    return argv, bad_input, as_json
 
 
 @pytest.mark.parametrize("command", sorted(FLOATS))
@@ -148,10 +153,11 @@ def test_cli_contract(files, command):
     @settings(max_examples=50)
     @given(invocations(command, files))
     def check(case):
-        argv, non_finite, as_json = case
-        code, out, err = _run(argv)
+        argv, bad_input, as_json = case
+        code, out, err, warned = _run(argv)
         assert code in (0, 1, 2), (argv, code, err)
-        if non_finite:
+        assert "Traceback" not in err and RuntimeWarning not in warned, (argv, err, warned)
+        if bad_input:
             assert code == 2, (argv, code, err)
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

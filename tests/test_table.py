@@ -1,7 +1,9 @@
-"""Tests for the table codec: the cells it writes and its CSV and JSON bytes."""
+"""Tests for the table codec: the cells it writes, its CSV and JSON bytes, and
+the arrays and errors it reads back."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from omx import table
+from omx.cli import main
+from omx.pulsed import LABELS
 
 
 def reprs(column) -> list:
@@ -112,3 +116,94 @@ class TestJson:
             table.write_table({"ok": np.arange(3), "x": np.array([1.0, bad, 2.0])},
                               path, "json")
         assert not path.exists()
+
+
+CLICKS = "pulse_index,t_ns,label\n"
+CLICK_TYPES = {"pulse_index": int, "label": LABELS}
+
+
+def assert_same_columns(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestRead:
+    """read_table gives back, bit for bit, what write_table wrote, and names the
+    file line of the first fault."""
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1e308])),
+        st.integers(-2**62, 2**62) | st.sampled_from([-2**62, 2**62]),
+        st.sampled_from(range(len(LABELS)))), max_size=40))
+    def test_round_trip_is_bit_equal(self, tmp_path_factory, rows):
+        columns = {"x": np.array([r[0] for r in rows], np.float64),
+                   "n": np.array([r[1] for r in rows], np.int64),
+                   "label": np.array([r[2] for r in rows], np.int64)}
+        path = tmp_path_factory.mktemp("round") / "t.csv"
+        table.write_table({**columns, "label": np.array(LABELS)[columns["label"]]}, path)
+        assert_same_columns(table.read_table(path, ("x", "n", "label"),
+                                             {"n": int, "label": LABELS}), columns)
+
+    @pytest.mark.parametrize("label", ["bluex", "darker", "re", "Blue", " red"])
+    def test_label_not_in_the_tuple(self, tmp_path, label):
+        path = tmp_path / "c.csv"
+        path.write_text(CLICKS + "0,1.5,blue\n\n1,2.5," + label + "\n")
+        with pytest.raises(ValueError, match=f"^{path}:4: cannot read label value '{label}'$"):
+            table.read_table(path, None, CLICK_TYPES)
+
+    def test_header_only_gives_empty_columns_silently(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        path.write_text(CLICKS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = table.read_table(path, None, CLICK_TYPES)
+        assert {k: (v.dtype, v.size) for k, v in cols.items()} == {
+            "pulse_index": (np.int64, 0), "t_ns": (np.float64, 0), "label": (np.int64, 0)}
+        assert capsys.readouterr() == ("", "")
+
+    def test_blank_lines_and_crlf(self, tmp_path):
+        rows = ["0,1.5,blue", "3,0.25,dark", "7,1e-300,red"]
+        clean, messy = tmp_path / "clean.csv", tmp_path / "messy.csv"
+        clean.write_text(CLICKS + "\n".join(rows) + "\n")
+        messy.write_bytes(b"pulse_index,t_ns,label\r\n\r\n"
+                          + "\r\n\r\n".join(rows).encode() + b"\r\n\r\n")
+        want = table.read_table(clean, None, CLICK_TYPES)
+        assert want["label"].tolist() == [1, 2, 0]
+        assert_same_columns(table.read_table(messy, None, CLICK_TYPES), want)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_at_its_file_line(self, tmp_path, cell):
+        path = tmp_path / "c.csv"
+        path.write_text(CLICKS + "0,1.5,blue\n\n\n1," + cell + ",red\n2,2.5,red\n")
+        with pytest.raises(ValueError, match=f"^{path}:5: t_ns value '{cell}' is not finite$"):
+            table.read_table(path, None, CLICK_TYPES)
+
+    @pytest.mark.parametrize("cell,where", [
+        ("1.0", ":3: cannot read pulse_index value '1.0'"),
+        ("9223372036854775808", ":3: cannot read pulse_index value '9223372036854775808'"),
+        ("", ":3: cannot read pulse_index value ''"),
+    ])
+    def test_int_cell_that_does_not_parse(self, tmp_path, cell, where):
+        path = tmp_path / "c.csv"
+        path.write_text(CLICKS + "0,1.5,blue\n" + cell + ",2.5,red\n")
+        with pytest.raises(ValueError, match=f"^{path}{where}$"):
+            table.read_table(path, None, CLICK_TYPES)
+
+    @pytest.mark.parametrize("row", ['1,"2.5",red', "1,2_500.0,red", '"1",2.5,red'])
+    def test_cell_only_csv_reads_is_a_usage_error(self, tmp_path, capsys, row):
+        path = tmp_path / "c.csv"
+        path.write_text(CLICKS + "0,1.5,blue\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"^{path}: cannot parse table$"):
+            table.read_table(path, None, CLICK_TYPES)
+        good = tmp_path / "good.csv"
+        good.write_text(CLICKS + "0,1.5,blue\n")
+        code = main(["estimate", "--blue", str(good), "--red", str(path), "--pulses", "10"])
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {path}: cannot parse table\n"))
+
+    def test_repeated_header_name(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x,x\n1.5,2.5\n")
+        assert table.read_table(path)["x"].tolist() == [2.5]
