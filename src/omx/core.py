@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import table
 from .constants import HBAR, K_B, angular_to_hz, hz_to_angular
 
 __all__ = [
@@ -94,6 +95,15 @@ def _number(data: dict, key: str, default: float | None = None) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{key} is beyond the float range") from None
+
+
+def _label(data: dict) -> str:
+    """``data["label"]`` of a JSON spec, or "" if absent; a non-string raises
+    ValueError."""
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {json.dumps(label)}")
+    return label
 
 
 def _spec_file(path, build):
@@ -438,12 +448,12 @@ def device_from_json(data: dict) -> Device:
                                           _number(data, "gamma0_hz")),
         g0=hz_to_angular(_number(data, "g0_hz")),
         g0_alt=hz_to_angular(_number(data, "g0_alt_hz")) if "g0_alt_hz" in data else None,
-        label=data.get("label", ""),
+        label=_label(data),
     )
 
 
 def save_device(device: Device, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(device_to_json(device), indent=2) + "\n")
+    table.write_json(device_to_json(device), path)
 
 
 def load_device(spec: str, search_dir: str | Path | None = None) -> Device:

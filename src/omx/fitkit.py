@@ -1,9 +1,9 @@
 """Least-squares fitting primitives.
 
-A damped Gauss-Newton core (step-halving line search, bound projection,
-column freezing for singular Jacobians) plus the concrete fits used by the
-rest of the package: Lorentzian and Fano resonance lines, vacuum coupling
-from linewidth-vs-photon-number data, and the bath heating model.
+A Gauss-Newton core (Levenberg-Marquardt damping on unit-norm Jacobian
+columns, bound projection, freezing of exactly-zero columns) plus the
+concrete fits: Lorentzian and Fano resonance lines, vacuum coupling from
+linewidth-vs-photon-number data, and the bath heating model.
 """
 
 from __future__ import annotations
@@ -106,6 +106,16 @@ def _fano_jac(x, p):
 
 # --- Gauss-Newton core ---
 
+# damping tried in turn on unit-norm columns; undamped (plain Gauss-Newton) first
+DAMPING = (0.0, *(10.0**k for k in range(-3, 13)))
+
+
+def _scaled(J: np.ndarray):
+    """Column norms of J, its nonzero columns, and those scaled to unit norm."""
+    col = np.sqrt((J**2).sum(axis=0))
+    active = col > 0
+    return col, active, J[:, active] / col[active]
+
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def gauss_newton(
@@ -118,13 +128,13 @@ def gauss_newton(
     step_tol: float = STEP_TOL,
     cost_tol: float = COST_TOL,
 ) -> FitResult:
-    """Damped Gauss-Newton with projection onto box bounds.
+    """Gauss-Newton on unit-norm Jacobian columns with projection onto bounds.
 
-    Each iteration solves the linearized normal problem by column-scaled
-    least squares, then halves the step until the cost does not increase.
-    Jacobian columns whose norm collapses are frozen for that iteration
-    (with a warning). Convergence: relative step < ``step_tol`` or relative
-    cost change < ``cost_tol``.
+    Each iteration solves ``[Js; sqrt(lam) I] dz = -[r; 0]`` for lam in
+    ``DAMPING`` (0, then 1e-3 ... 1e12, Levenberg-Marquardt) and takes the
+    first step that does not raise the cost. Exactly-zero columns are frozen
+    (with a one-time warning); the covariance uses the same column scaling.
+    Convergence: relative step < ``step_tol`` or relative cost change < ``cost_tol``.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -140,9 +150,7 @@ def gauss_newton(
     warned_freeze = False
 
     for iterations in range(1, max_iter + 1):
-        J = np.asarray(jacobian_fn(x), dtype=float)
-        col = np.sqrt((J**2).sum(axis=0))
-        active = col > 1e-14 * max(col.max(), 1e-300)
+        col, active, Js = _scaled(np.asarray(jacobian_fn(x), dtype=float))
         if not active.any():
             message = "all parameters frozen (zero Jacobian)"
             break
@@ -150,28 +158,23 @@ def gauss_newton(
             frozen = [names[i] for i in range(n) if not active[i]]
             warnings.warn(f"singular Jacobian: freezing parameter(s) {frozen}", stacklevel=2)
             warned_freeze = True
-        Ja = J[:, active] / col[active]
-        dx = np.zeros(n)
-        dx[active] = np.linalg.lstsq(Ja, -r, rcond=None)[0] / col[active]
-
-        alpha = 1.0
-        x_try = x
-        cost_try = cost
-        while alpha > 2.0**-30:
-            cand = np.clip(x + alpha * dx, lo, hi)
-            r_cand = residual_fn(cand)
-            c_cand = float(r_cand @ r_cand)
-            if np.isfinite(c_cand) and c_cand <= cost:
-                x_try, r, cost_try = cand, r_cand, c_cand
+        for lam in DAMPING:
+            A = np.vstack([Js, math.sqrt(lam) * np.eye(Js.shape[1])]) if lam else Js
+            b = np.concatenate([-r, np.zeros(Js.shape[1])]) if lam else -r
+            dx = np.zeros(n)
+            dx[active] = np.linalg.lstsq(A, b, rcond=None)[0] / col[active]
+            x_try = np.clip(x + dx, lo, hi)
+            r_try = residual_fn(x_try)
+            cost_try = float(r_try @ r_try)
+            if np.isfinite(cost_try) and cost_try <= cost:
                 break
-            alpha *= 0.5
         else:
-            message = "line search failed to find a descent step"
+            message = "no damped step reduced the cost"
             break
 
         step = np.linalg.norm(x_try - x) / max(np.linalg.norm(x), 1e-300)
         dcost = abs(cost - cost_try) / max(cost, 1e-300)
-        x, cost = x_try, cost_try
+        x, r, cost = x_try, r_try, cost_try
         if step < step_tol or dcost < cost_tol:
             converged = True
             message = "converged"
@@ -180,15 +183,12 @@ def gauss_newton(
     covariance = None
     stderr: dict[str, float] = {}
     if converged:
-        J = np.asarray(jacobian_fn(x), dtype=float)
-        col = np.sqrt((J**2).sum(axis=0))
-        active = col > 1e-14 * max(col.max(), 1e-300)
-        m, p = J.shape[0], int(active.sum())
+        col, active, Js = _scaled(np.asarray(jacobian_fn(x), dtype=float))
+        m, p = Js.shape
         s2 = cost / (m - p) if m > p else 0.0
         covariance = np.zeros((n, n))
         if p:
-            JtJ = J[:, active].T @ J[:, active]
-            cov_a = s2 * np.linalg.pinv(JtJ)
+            cov_a = s2 * np.linalg.pinv(Js.T @ Js) / np.outer(col[active], col[active])
             covariance[np.ix_(active, active)] = 0.5 * (cov_a + cov_a.T)
         stderr = {
             name: math.sqrt(max(covariance[i, i], 0.0)) for i, name in enumerate(names)

@@ -11,13 +11,12 @@ Lengths are nanometers throughout, matching the on-disk formats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import table
-from .core import _check, _number, _spec_file
+from .core import _check, _label, _number, _spec_file
 
 __all__ = [
     "UnitCellParams",
@@ -209,14 +208,12 @@ def design_from_json(data: dict) -> DesignParams:
     fields = {"a": "a_nm", "w": "w_nm", "r": "r_nm", "u_y": "u_y_nm", "fillet": "fillet_nm",
               "d0": "d0_nm", "h0": "h0_nm", "d17": "d17_nm", "h17": "h17_nm",
               "delta_x": "delta_x", "m_exp": "m_exp"}
-    return DesignParams(label=data.get("label", ""),
+    return DesignParams(label=_label(data),
                         **{name: _number(data, key) for name, key in fields.items()})
 
 
 def save_design(path, design: DesignParams) -> None:
-    with open(path, "w") as fh:
-        json.dump(design_to_json(design), fh, indent=2)
-        fh.write("\n")
+    table.write_json(design_to_json(design), path)
 
 
 def load_design(path) -> DesignParams:

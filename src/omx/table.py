@@ -110,14 +110,15 @@ def read_table(path, header=None, types=None) -> dict:
     ``header`` is the header required (any if None). ``types`` maps a name to
     ``int`` (an int64 column) or to a tuple of labels (int64 indices into it);
     other columns are float64. After the header is checked, numpy's C parser
-    reads every row in one call, skipping blank lines. If it rejects a row, or
-    a float cell is not finite or a label unknown, a ``csv`` scan of the file
-    finds the first fault to raise ``ValueError("path:line: ...")``; if that
-    scan finds none (a quoted number, ``1_000``), ``"path: cannot parse table"``.
+    reads every row in one call, skipping blank lines. If it rejects a row, a
+    float cell is not finite, a label is unknown, or a table with labels holds
+    a NUL, a ``csv`` scan of the file finds the first fault to raise
+    ``ValueError("path:line: ...")``; if that scan finds none (a quoted
+    number, ``1_000``), ``"path: cannot parse table"``.
     """
     types = types or {}
     with open(path, newline="") as fh:
-        head = next(csv.reader(fh), None)
+        head = next(_csv_rows(fh), (0, None))[1]
     if not head:
         raise ValueError(f"{path}:1: empty table, expected a header row")
     if header is not None and head != list(header):
@@ -129,32 +130,52 @@ def read_table(path, header=None, types=None) -> dict:
     # longer cell is cut down to a label
     dtype = [(str(i), "i8" if kind is int else "f8" if kind is float
               else f"S{max(map(len, kind)) + 1}") for i, kind in enumerate(kinds)]
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(path, dtype, delimiter=",", skiprows=1, comments=None, ndmin=1)
-        return {name: _column(rows[str(i)], kind)
-                for i, (name, kind) in enumerate(zip(head, kinds))}
-    except ValueError:
-        pass
+    # numpy drops trailing NULs from a bytes field (``blue\0`` would read as
+    # ``blue``), so a labelled table holding a NUL goes to the csv scan
+    labelled = any(isinstance(kind, tuple) for kind in kinds)
+    if not (labelled and _has_nul(path)):
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(path, dtype, delimiter=",", skiprows=1, comments=None, ndmin=1)
+            return {name: _column(rows[str(i)], kind)
+                    for i, (name, kind) in enumerate(zip(head, kinds))}
+        except ValueError:
+            pass
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
+        rows = _csv_rows(fh)
+        next(rows)
+        for line, row in rows:
             if row and len(row) != len(head):
-                raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, "
+                raise ValueError(f"{path}:{line}: {len(row)} cells, "
                                  f"the header has {len(head)}")
             for name, kind, cell in zip(head, kinds, row):
                 try:
                     value = kind.index(cell) if isinstance(kind, tuple) else kind(cell)
                     finite = math.isfinite(np.int64(value) if kind is int else value)
                 except (ValueError, OverflowError):
-                    raise ValueError(f"{path}:{reader.line_num}: cannot read {name} "
+                    raise ValueError(f"{path}:{line}: cannot read {name} "
                                      f"value {cell!r}") from None
                 if not finite:
-                    raise ValueError(f"{path}:{reader.line_num}: {name} value {cell!r} "
+                    raise ValueError(f"{path}:{line}: {name} value {cell!r} "
                                      f"is not finite")
     raise ValueError(f"{path}: cannot parse table")
+
+
+def _csv_rows(fh):
+    """(line number, cells) for each csv row of ``fh``. Python 3.10's csv
+    reader refuses a NUL, so each NUL goes through it as a lone surrogate,
+    which no strict decoding of a file yields, and is put back in the cells."""
+    reader = csv.reader(text.replace("\0", "\udc00") for text in fh)
+    for row in reader:
+        if "\udc00" in ",".join(row):
+            row = [cell.replace("\udc00", "\0") for cell in row]
+        yield reader.line_num, row
+
+
+def _has_nul(path) -> bool:
+    with open(path, "rb") as fh:
+        return any(b"\0" in chunk for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
 def _column(cells: np.ndarray, kind) -> np.ndarray:

@@ -436,6 +436,25 @@ def test_wrong_typed_spec_field_names_file_and_key(capsys, tmp_path, argv, kind,
     assert err == f"error: {path}: {key} {text}\n"
 
 
+@pytest.mark.parametrize("argv,kind", [
+    (["omit", "--nc", "1", "--points", "3", "--device", "{spec}"], "device"),
+    (["device", "show", "{spec}"], "device"),
+    (["taper", "--device", "{spec}"], "design"),
+])
+@pytest.mark.parametrize("label,text", [
+    ([], "[]"), (None, "null"), (5, "5"), ({}, "{}"), ({"a": 1}, '{"a": 1}'),
+])
+def test_non_string_label_names_file(capsys, tmp_path, argv, kind, label, text):
+    spec = (core.device_to_json(core.DEVICE_PRESETS["A"]) if kind == "device"
+            else geometry.design_to_json(geometry.DESIGN_PRESETS["A"]))
+    spec["label"] = label
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, *[a.replace("{spec}", str(path)) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: label must be a string, got {text}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "lorentzian", "--in", "{missing}"],
     ["estimate", "--blue", "{missing}", "--red", "{missing}", "--pulses", "10"],

@@ -325,6 +325,47 @@ class TestHeatingParamsFit:
             fitkit.fit_heating_params([1.0, 2.0, 3.0], [1.0, 0.9, 0.8], device_a)
 
 
+class TestScaledFits:
+    """Fits whose parameters differ by many orders of magnitude in scale."""
+
+    @pytest.mark.parametrize("kind", ["lorentzian", "fano"])
+    def test_psd_scale_line_near_mechanical_mode(self, kind, device_a):
+        # a 1e-12 line on a rad/s grid at ~7.4 GHz: the center and width
+        # columns of J are ~1e-19 of the offset column, yet must still be fit
+        omega, gamma = device_a.mechanical.omega_m, device_a.mechanical.gamma_0
+        x = np.linspace(omega - 10 * gamma, omega + 10 * gamma, 801)
+        amp = 1e-12
+        if kind == "lorentzian":
+            truth = dict(center=omega + 0.3 * gamma, fwhm=1.1 * gamma,
+                         amplitude=amp, offset=0.05 * amp)
+            clean, fit = fitkit.lorentzian(x, **truth), fitkit.fit_lorentzian
+        else:
+            truth = dict(center=omega + 0.3 * gamma, width=1.1 * gamma, q_fano=2.0,
+                         amplitude=amp, offset=0.05 * amp)
+            clean, fit = fitkit.fano(x, **truth), fitkit.fit_fano
+        rng = np.random.default_rng(3)
+        res = fit(make_trace(x, clean + 0.01 * amp * rng.standard_normal(x.size)))
+        assert res.converged
+        for k, v in truth.items():
+            assert res.stderr[k] > 0
+            assert abs(res.params[k] - v) <= 5 * res.stderr[k], k
+
+    # seeds 5 and 30 once ran off along the saturable-term ridge; alpha_sat may
+    # touch its zero bound on the way, which freezes beta_sat for a step
+    @pytest.mark.filterwarnings("ignore:singular Jacobian")
+    @pytest.mark.parametrize("seed", [0, 1, 5, 30])
+    def test_free_baseline_on_noisy_data(self, seed, device_a):
+        grid = np.geomspace(0.01, 1e4, 200)
+        clean = core.heating_model_occupancy(device_a, core.DEFAULT_HEATING, grid)
+        rng = np.random.default_rng(seed)
+        noisy = clean * (1.0 + 0.01 * rng.standard_normal(grid.size))
+        res = fitkit.fit_heating_params(grid, noisy, device_a, n_th0=None)
+        assert res.converged, res.message
+        for k in ("n_th0", "alpha_sat", "beta_sat", "alpha_lin"):
+            want = getattr(core.DEFAULT_HEATING, k)
+            assert abs(res.params[k] - want) <= 5 * res.stderr[k], k
+
+
 class TestResultJson:
     def test_angular_names_converted_to_hz(self):
         x = np.linspace(-10.0, 10.0, 201)

@@ -3,6 +3,7 @@ the arrays and errors it reads back."""
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -153,6 +154,32 @@ class TestRead:
         path.write_text(CLICKS + "0,1.5,blue\n\n1,2.5," + label + "\n")
         with pytest.raises(ValueError, match=f"^{path}:4: cannot read label value '{label}'$"):
             table.read_table(path, None, CLICK_TYPES)
+
+    @pytest.mark.parametrize("label", ["blue\0", "red\0\0", "dark\0"])
+    def test_label_with_trailing_nul(self, tmp_path, capsys, label):
+        # numpy's bytes fields drop trailing NULs; the cell is still not a label
+        path = tmp_path / "c.csv"
+        path.write_text(CLICKS + "0,1.5," + label + "\n1,2.5,red\n")
+        message = f"{path}:2: cannot read label value {label!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            table.read_table(path, None, CLICK_TYPES)
+        good = tmp_path / "good.csv"
+        good.write_text(CLICKS + "0,1.5,blue\n")
+        code = main(["estimate", "--blue", str(good), "--red", str(path), "--pulses", "10"])
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
+    @pytest.mark.parametrize("text,header,where", [
+        ("x,n\n1.5,2\n2.5\0,3\n", None, ":3: cannot read x value '2.5\\x00'"),
+        ("x,n\n1.5,2\n\0\n", None, ":3: 1 cells, the header has 2"),
+        ("x\0,n\n1.5,2\n", ("x", "n"), ":1: expected header 'x,n', got 'x\\x00,n'"),
+    ])
+    def test_nul_outside_a_label_is_named(self, tmp_path, text, header, where):
+        # Python 3.10's csv reader refuses a NUL; the message is the same on every version
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            table.read_table(path, header, {"n": int})
+        assert str(info.value) == f"{path}{where}"
 
     def test_header_only_gives_empty_columns_silently(self, tmp_path, capsys):
         path = tmp_path / "c.csv"
