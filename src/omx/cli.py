@@ -20,6 +20,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +117,13 @@ def _load_device(label: str) -> core.Device:
     return core.load_device(label, search_dir=_preset_dir())
 
 
+_HEATING_PRESETS = {"default": core.DEFAULT_HEATING, "zero": core.ZERO_HEATING}
+_KERNEL_PRESETS = {"default": pulsed.default_kernel(),
+                   "zero": pulsed.HeatingKernel(delta=0.0, tau_th=0.0, n_base=0.0)}
+
+
 def _load_heating(spec: str) -> core.HeatingParams:
-    if spec == "default":
-        return core.DEFAULT_HEATING
-    if spec == "zero":
-        return core.ZERO_HEATING
-    return core._spec_file(spec, lambda data: core.HeatingParams(
+    return core._resolve("heating", spec, _HEATING_PRESETS, lambda data: core.HeatingParams(
         n_th0=core._number(data, "n_th0"),
         alpha_sat=core._number(data, "alpha_sat", 0.0),
         beta_sat=core._number(data, "beta_sat", 0.0),
@@ -130,11 +132,7 @@ def _load_heating(spec: str) -> core.HeatingParams:
 
 
 def _load_kernel(spec: str) -> pulsed.HeatingKernel:
-    if spec == "default":
-        return pulsed.default_kernel()
-    if spec == "zero":
-        return pulsed.HeatingKernel(delta=0.0, tau_th=0.0, n_base=0.0)
-    return core._spec_file(spec, lambda data: pulsed.HeatingKernel(
+    return core._resolve("kernel", spec, _KERNEL_PRESETS, lambda data: pulsed.HeatingKernel(
         delta=core._number(data, "delta"),
         tau_th=core._number(data, "tau_th_us") * 1e-6,
         n_base=core._number(data, "n_base", 0.0),
@@ -142,16 +140,8 @@ def _load_kernel(spec: str) -> pulsed.HeatingKernel:
 
 
 def _load_design(spec: str) -> geometry.DesignParams:
-    if spec in geometry.DESIGN_PRESETS:
-        return geometry.DESIGN_PRESETS[spec]
-    if Path(spec).is_file():
-        return geometry.load_design(spec)
-    directory = _preset_dir()
-    if directory is not None:
-        candidate = Path(directory) / f"{spec}.json"
-        if candidate.is_file():
-            return geometry.load_design(candidate)
-    raise KeyError(f"unknown design preset or file: {spec!r}")
+    return core._resolve("design", spec, geometry.DESIGN_PRESETS, geometry.design_from_json,
+                         _preset_dir())
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -501,6 +491,8 @@ def main(argv=None) -> int:
     if getattr(ns, "_func", None) is None:
         parser.print_help()
         return 2
+    formatwarning = warnings.formatwarning  # a regime warning prints as one line
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = _merge_args(ns)
         return ns._func(args)
@@ -517,6 +509,8 @@ def main(argv=None) -> int:
     except (RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

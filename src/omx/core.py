@@ -120,6 +120,19 @@ def _spec_file(path, build):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _resolve(kind: str, spec: str, presets: dict, build, search_dir=None):
+    """The ``kind`` named by ``spec``: the file ``<spec>.json`` under ``search_dir``
+    (shadowing a preset), else ``presets[spec]``, else the JSON file at the path
+    ``spec``. Files are read by ``_spec_file(path, build)``; no match is a KeyError."""
+    if search_dir is not None and (shadow := Path(search_dir) / f"{spec}.json").is_file():
+        return _spec_file(shadow, build)
+    if spec in presets:
+        return presets[spec]
+    if Path(spec).is_file():
+        return _spec_file(spec, build)
+    raise KeyError(f"{spec}: unknown {kind} preset or file")
+
+
 def _values(x):
     """A scalar as it is, anything else as a float array."""
     return x if np.ndim(x) == 0 else np.asarray(x, dtype=float)
@@ -462,13 +475,4 @@ def load_device(spec: str, search_dir: str | Path | None = None) -> Device:
 
     A ``search_dir`` file shadows a bundled preset with the same label.
     """
-    if search_dir is not None:
-        candidate = Path(search_dir) / f"{spec}.json"
-        if candidate.is_file():
-            return _spec_file(candidate, device_from_json)
-    if spec in DEVICE_PRESETS:
-        return DEVICE_PRESETS[spec]
-    path = Path(spec)
-    if path.is_file():
-        return _spec_file(path, device_from_json)
-    raise KeyError(f"unknown device preset or file: {spec!r}")
+    return _resolve("device", spec, DEVICE_PRESETS, device_from_json, search_dir)

@@ -156,7 +156,8 @@ def gauss_newton(
             break
         if not active.all() and not warned_freeze:
             frozen = [names[i] for i in range(n) if not active[i]]
-            warnings.warn(f"singular Jacobian: freezing parameter(s) {frozen}", stacklevel=2)
+            # level 3 skips the np.errstate decorator's wrapper to reach the caller
+            warnings.warn(f"singular Jacobian: freezing parameter(s) {frozen}", stacklevel=3)
             warned_freeze = True
         for lam in DAMPING:
             A = np.vstack([Js, math.sqrt(lam) * np.eye(Js.shape[1])]) if lam else Js

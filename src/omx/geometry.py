@@ -56,6 +56,12 @@ class UnitCellParams:
             raise ValueError("h must be smaller than the lattice constant")
 
 
+# DesignParams field -> key in a design JSON file
+_DESIGN_KEYS = {"a": "a_nm", "w": "w_nm", "r": "r_nm", "u_y": "u_y_nm", "fillet": "fillet_nm",
+                "d0": "d0_nm", "h0": "h0_nm", "d17": "d17_nm", "h17": "h17_nm",
+                "delta_x": "delta_x", "m_exp": "m_exp"}
+
+
 @dataclass(frozen=True)
 class DesignParams:
     """Full design-parameter set for one device (lengths in nm)."""
@@ -74,8 +80,7 @@ class DesignParams:
     m_exp: float
 
     def __post_init__(self):
-        for name in ("a", "w", "r", "u_y", "fillet", "d0", "h0", "d17", "h17",
-                     "delta_x", "m_exp"):
+        for name in _DESIGN_KEYS:
             _check(name, getattr(self, name), positive=True)
 
 
@@ -188,28 +193,13 @@ def read_schedule_csv(path):
 
 
 def design_to_json(design: DesignParams) -> dict:
-    return {
-        "label": design.label,
-        "a_nm": design.a,
-        "w_nm": design.w,
-        "r_nm": design.r,
-        "u_y_nm": design.u_y,
-        "fillet_nm": design.fillet,
-        "d0_nm": design.d0,
-        "h0_nm": design.h0,
-        "d17_nm": design.d17,
-        "h17_nm": design.h17,
-        "delta_x": design.delta_x,
-        "m_exp": design.m_exp,
-    }
+    return {"label": design.label,
+            **{key: getattr(design, name) for name, key in _DESIGN_KEYS.items()}}
 
 
 def design_from_json(data: dict) -> DesignParams:
-    fields = {"a": "a_nm", "w": "w_nm", "r": "r_nm", "u_y": "u_y_nm", "fillet": "fillet_nm",
-              "d0": "d0_nm", "h0": "h0_nm", "d17": "d17_nm", "h17": "h17_nm",
-              "delta_x": "delta_x", "m_exp": "m_exp"}
     return DesignParams(label=_label(data),
-                        **{name: _number(data, key) for name, key in fields.items()})
+                        **{name: _number(data, key) for name, key in _DESIGN_KEYS.items()})
 
 
 def save_design(path, design: DesignParams) -> None:

@@ -143,7 +143,6 @@ class TestCoolCurveCommand:
         assert code == 2
         assert "nc-min" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_is_a_numeric_failure(self, capsys):
         code, out, err = run(capsys, "cool-curve", "--points", "3", "--nc-max", "1e300")
         assert (code, out) == (1, "")
@@ -377,6 +376,14 @@ def test_non_finite_grid_flag_is_a_usage_error(capsys, argv, text):
     assert err.count("\n") == 1
 
 
+def fresh_omx(*argv):
+    """``omx argv`` in a new interpreter, with Python's default warning filters."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "omx", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ["cool-curve", "--points", "3", "--nc-max", "1e300"],
     ["cool-curve", "--points", "3", "--nc-max", "1e290"],
@@ -385,11 +392,7 @@ def test_non_finite_grid_flag_is_a_usage_error(capsys, argv, text):
 ])
 def test_stderr_is_one_line_in_a_fresh_process(argv):
     """No numpy RuntimeWarning reaches a user's terminal next to the error."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run([sys.executable, "-m", "omx", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh_omx(*argv)
     assert proc.returncode in (1, 2) and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
@@ -398,13 +401,32 @@ def test_overflowing_fit_prints_one_line_in_a_fresh_process(tmp_path):
     """A fit whose cost overflows exits 1 with one error line, no numpy warning."""
     path = tmp_path / "heating.csv"
     path.write_text("n_c,n_m\n" + "".join(f"{k}.0,{8 - k / 10}\n" for k in range(1, 7)))
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run([sys.executable, "-m", "omx", "fit", "heating", "--in", str(path),
-                           "--n-th0", "1e308"], env=env, capture_output=True, text=True,
-                          timeout=60)
+    proc = fresh_omx("fit", "heating", "--in", str(path), "--n-th0", "1e308")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,warning", [
+    (["pulse-sim", "--pulses", "10", "--peak-power", "1e-3"],
+     "scattering probability 6.618 > 0.2; linearized per-pulse picture is marginal"),
+    (["fit", "heating", "--in", "{noisy}", "--n-th0", "free"],
+     "singular Jacobian: freezing parameter(s) ['beta_sat']"),
+])
+def test_regime_warning_is_one_line_in_a_fresh_process(capsys, tmp_path, argv, warning):
+    # 1%-noise cooling data on which alpha_sat touches its zero bound on the way
+    grid = np.geomspace(0.01, 1e4, 200)
+    clean = core.heating_model_occupancy(core.DEVICE_PRESETS["A"], core.DEFAULT_HEATING, grid)
+    noisy = clean * (1.0 + 0.01 * np.random.default_rng(0).standard_normal(grid.size))
+    path = tmp_path / "noisy.csv"
+    rows = "".join(f"{x!r},{y!r}\n" for x, y in zip(grid.tolist(), noisy.tolist()))
+    path.write_text("n_c,n_m\n" + rows)
+    argv = [a.replace("{noisy}", str(path)) for a in argv]
+    proc = fresh_omx(*argv)
+    assert (proc.returncode, proc.stderr) == (0, f"warning: {warning}\n")
+    with pytest.warns(UserWarning) as record:
+        code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, proc.stdout)
+    assert [str(w.message) for w in record] == [warning]
 
 
 @pytest.mark.parametrize("argv,kind", [
@@ -455,6 +477,19 @@ def test_non_string_label_names_file(capsys, tmp_path, argv, kind, label, text):
     assert err == f"error: {path}: label must be a string, got {text}\n"
 
 
+@pytest.mark.parametrize("argv,kind", [
+    (["device", "show", "nope"], "device"),
+    (["omit", "--nc", "1", "--device", "nope"], "device"),
+    (["taper", "--device", "nope"], "design"),
+    (["cool-curve", "--heating", "nope"], "heating"),
+    (["pulse-sim", "--kernel", "nope"], "kernel"),
+])
+def test_unknown_spec_is_named_with_its_kind(capsys, argv, kind):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: nope: unknown {kind} preset or file\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "lorentzian", "--in", "{missing}"],
     ["estimate", "--blue", "{missing}", "--red", "{missing}", "--pulses", "10"],
@@ -463,6 +498,8 @@ def test_non_string_label_names_file(capsys, tmp_path, argv, kind, label, text):
     ["taper", "--config", "{missing}"],
     ["device", "export", "A", "{missing}/x.json"],
     ["taper", "--out", "{dir}"],
+    ["omit", "--nc", "1", "--device", "{missing}"],
+    ["taper", "--device", "{missing}"],
 ])
 def test_file_error_names_the_path(capsys, tmp_path, argv):
     missing = str(tmp_path / "no_such")
@@ -497,6 +534,16 @@ class TestTaperCommand:
         code, _, err = run(capsys, "taper", "--cells", "0")
         assert code == 2
         assert "cells" in err
+
+    def test_preset_dir_shadows_a_design(self, capsys, tmp_path, monkeypatch):
+        data = geometry.design_to_json(geometry.DESIGN_PRESETS["A"])
+        data["d0_nm"] = 50.0
+        (tmp_path / "A.json").write_text(json.dumps(data))
+        monkeypatch.setenv("OMX_PRESET_DIR", str(tmp_path))
+        code, out, _ = run(capsys, "taper", "--device", "A", "--cells", "3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0] == ["0", "50.0", "194.5"]
 
     def test_unknown_design(self, capsys):
         code, _, err = run(capsys, "taper", "--device", "nope")

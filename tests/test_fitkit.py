@@ -90,6 +90,14 @@ class TestGaussNewton:
         assert res.params["a"] == pytest.approx(2.0, rel=1e-12)
         assert res.params["unused"] == 1.5  # untouched
 
+    def test_freeze_warning_names_the_caller(self):
+        x = np.linspace(0.0, 1.0, 20)
+        with pytest.warns(UserWarning, match="freezing") as record:
+            fitkit.gauss_newton(lambda p: p[0] * x - 2.0 * x,
+                                lambda p: np.column_stack([x, np.zeros_like(x)]),
+                                [0.5, 1.5], ("a", "unused"))
+        assert [w.filename for w in record] == [__file__]
+
     def test_bounds_are_respected(self):
         x = np.linspace(0.0, 1.0, 20)
         y = -2.0 * x  # unconstrained optimum is a = -2
