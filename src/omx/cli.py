@@ -16,6 +16,7 @@ file, which wins over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -36,41 +37,6 @@ def _preset_dir() -> str | None:
 
 
 # --- config-file support -----------------------------------------------------
-#
-# Every optional flag registers its default and type here instead of in
-# argparse, so a value can come from (in order of precedence) the command
-# line, the --config file, or the default table.
-
-
-class _Sub:
-    def __init__(self, parser: argparse.ArgumentParser):
-        self.parser = parser
-        self.defaults: dict = {}
-        self.types: dict = {}
-        self.choices: dict = {}
-        self.required: list[str] = []
-
-    def add(self, *flags, default=None, type=str, required=False, choices=None,
-            help=None, metavar=None, dest=None):
-        if dest is None:
-            dest = flags[0].lstrip("-").replace("-", "_")
-        self.parser.add_argument(*flags, dest=dest, default=argparse.SUPPRESS,
-                                 type=type, choices=choices, help=help,
-                                 metavar=metavar)
-        self.defaults[dest] = default
-        self.types[dest] = type
-        self.choices[dest] = choices
-        if required:
-            self.required.append(dest)
-
-    def add_common_output(self):
-        self.add("--out", default=None, help="output file (default: stdout)")
-        self.add("--format", default="csv", choices=("csv", "json"),
-                 help="output encoding (identical numeric content)")
-
-    def add_config(self):
-        self.add("--config", default=None, metavar="FILE",
-                 help="key = value file supplying flag defaults")
 
 
 def _read_config(path: str) -> dict:
@@ -87,27 +53,25 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _merge_args(ns: argparse.Namespace) -> argparse.Namespace:
-    sub: _Sub = ns._sub
-    given = {k: v for k, v in vars(ns).items() if not k.startswith("_")}
-    merged = dict(sub.defaults)
-    config_path = given.get("config", merged.get("config"))
-    if config_path:
-        for key, raw in _read_config(config_path).items():
-            if key in sub.defaults:
-                merged[key] = sub.types[key](raw)
-                if sub.choices[key] is not None and merged[key] not in sub.choices[key]:
-                    raise ValueError(f"{config_path}: {key} = {raw!r} is not one of "
-                                     f"{', '.join(sub.choices[key])}")
-            else:
-                print(f"warning: config key {key!r} not used by this command",
-                      file=sys.stderr)
-    merged.update(given)
-    missing = [k for k in sub.required if merged.get(k) is None]
-    if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise ValueError(f"missing required flag(s): {flags}")
-    return argparse.Namespace(**merged)
+def _flags(parser: argparse.ArgumentParser) -> dict:
+    """The optional flags of ``parser`` (``--help`` aside), by dest."""
+    return {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The ``--config`` file's values, each converted by its flag's own ``type``
+    and checked against its ``choices``; a key naming no optional flag warns."""
+    flags = _flags(parser)
+    values = {}
+    for key, raw in _read_config(path).items():
+        if (action := flags.get(key)) is None:
+            print(f"warning: config key {key!r} not used by this command", file=sys.stderr)
+            continue
+        values[key] = (action.type or str)(raw)
+        if action.choices is not None and values[key] not in action.choices:
+            raise ValueError(f"{path}: {key} = {raw!r} is not one of "
+                             f"{', '.join(action.choices)}")
+    return values
 
 
 # --- shared loaders ----------------------------------------------------------
@@ -153,8 +117,10 @@ def _cmd_device(args) -> int:
         directory = _preset_dir()
         if directory is not None and Path(directory).is_dir():
             for p in sorted(Path(directory).glob("*.json")):
-                if p.stem not in labels:
-                    labels.append(p.stem)
+                if p.stem not in labels:  # listed only if it reads as a device
+                    with contextlib.suppress(OSError, ValueError):
+                        core._spec_file(p, core.device_from_json)
+                        labels.append(p.stem)
         for label in labels:
             print(label)
         return 0
@@ -199,7 +165,7 @@ def _cmd_cool_curve(args) -> int:
     if not 0 < args.nc_min < args.nc_max:
         raise ValueError("need 0 < nc-min < nc-max")
     core._check("points", args.points, ge=2)
-    grid = np.geomspace(args.nc_min, args.nc_max, int(args.points))
+    grid = np.geomspace(args.nc_min, args.nc_max, args.points)
     curve = core.cooling_curve(device, heating, grid)
     t_eff = core.temperature_from_occupancy(device.mechanical.omega_m, curve.n_m)
     table.write_table({"n_c": curve.n_c, "C": curve.cooperativity,
@@ -215,7 +181,7 @@ def _grid_hz(flag: str, lo: float, hi: float, points: int) -> np.ndarray:
                                    hz_to_angular(hi - lo)))):
         raise ValueError(f"{flag} gives a grid beyond the float range "
                          f"({lo!r} to {hi!r} Hz)")
-    return np.linspace(lo, hi, int(points))
+    return np.linspace(lo, hi, points)
 
 
 def _probe_grid(device: core.Device, span_hz: float, points: int) -> np.ndarray:
@@ -231,8 +197,7 @@ def _cmd_omit(args) -> int:
     if args.detuning_hz is None:
         detuning = -device.mechanical.omega_m
     else:
-        core._check("detuning-hz", args.detuning_hz)
-        detuning = core._check("detuning-hz in rad/s", hz_to_angular(args.detuning_hz))
+        detuning = core._angular("detuning-hz", args.detuning_hz)
     probe = _probe_grid(device, args.span_hz, args.points)
     trace = spectra.omit_reflection(device, args.nc, detuning, probe)
     table.write_table(spectra.trace_columns(trace), args.out, args.format)
@@ -270,7 +235,7 @@ def _cmd_pulse_sim(args) -> int:
         rep_rate=args.rep_rate,
         peak_power=args.peak_power,
         detuning_sign=args.detuning,
-        n_pulses=int(args.pulses),
+        n_pulses=args.pulses,
     )
     chain = pulsed.DetectionChain(eta=args.eta, dark_rate=args.dark_rate,
                                   window=window)
@@ -279,7 +244,7 @@ def _cmd_pulse_sim(args) -> int:
                                    on_chip_power=args.peak_power)
     n_c = core.intracavity_photons(device.optical, drive)
     clicks = pulsed.simulate_clicks(device, train, chain, kernel, n_c,
-                                    seed=int(args.seed), workers=int(args.workers))
+                                    seed=args.seed, workers=args.workers)
     table.write_table(pulsed.click_columns(clicks), args.out, args.format)
     return 0
 
@@ -289,11 +254,11 @@ def _cmd_estimate(args) -> int:
     blue = pulsed.read_clicks_csv(args.blue)
     red = pulsed.read_clicks_csv(args.red)
     for clicks in (blue, red):  # a contradicting file is an input error, not exit 1
-        clicks.check_within(int(args.pulses))
+        clicks.check_within(args.pulses)
     chain = pulsed.DetectionChain(dark_rate=args.dark_rate,
                                   window=args.window_ns * 1e-9)
     try:
-        result = pulsed.estimate_occupancy(blue, red, int(args.pulses), chain)
+        result = pulsed.estimate_occupancy(blue, red, args.pulses, chain)
     except ValueError as exc:
         raise RuntimeError(str(exc)) from exc
     table.write_json(dataclasses.asdict(result), args.out)
@@ -304,7 +269,7 @@ def _cmd_histogram(args) -> int:
     window = args.window_ns * 1e-9
     bin_width = args.bin_ns * 1e-9
     blue, red = (pulsed.histogram(pulsed.read_clicks_csv(path), bin_width,
-                                  int(args.pulses), window)
+                                  args.pulses, window)
                  for path in (args.blue, args.red))
     columns = pulsed.histogram_columns(blue.bin_start, pulsed.combined_rate(blue),
                                        pulsed.combined_rate(red))
@@ -315,7 +280,7 @@ def _cmd_histogram(args) -> int:
 def _cmd_taper(args) -> int:
     design = _load_design(args.device)
     core._check("cells", args.cells, ge=1)
-    schedule = geometry.generate_schedule(design, n_cells=int(args.cells))
+    schedule = geometry.generate_schedule(design, n_cells=args.cells)
     table.write_table(geometry.schedule_columns(schedule), args.out, args.format)
     return 0
 
@@ -349,9 +314,10 @@ def _cmd_fit(args) -> int:
             raise ValueError("g0 fit requires --branch red|blue")
         device = None if args.device is None else _load_device(args.device)
         kappa, gamma0 = _resolve_rates(args, device)
-        sigma = (hz_to_angular(data["sigma_hz"]) if "sigma_hz" in data else None)
+        sigma = (core._angular("sigma_hz", data["sigma_hz"], positive=True)
+                 if "sigma_hz" in data else None)
         result = fitkit.fit_g0_from_linewidths(
-            data["n_c"], hz_to_angular(data["gamma_m_hz"]), kappa, gamma0,
+            data["n_c"], core._angular("gamma_m_hz", data["gamma_m_hz"]), kappa, gamma0,
             branch=args.branch, sigma=sigma)
         angular = ("slope", "g0")
     elif args.kind == "heating":
@@ -383,100 +349,105 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="_command", metavar="command")
 
-    def new(name: str, func, help: str) -> _Sub:
+    def new(name: str, func, help: str, required=()) -> argparse.ArgumentParser:
+        # required flags may come from --config, so main checks them, not argparse
         p = subparsers.add_parser(name, help=help, description=help)
-        sub = _Sub(p)
-        p.set_defaults(_func=func, _sub=sub)
-        sub.add_config()
-        return sub
+        p.set_defaults(_func=func, _parser=p, _required=required)
+        p.add_argument("--config", metavar="FILE",
+                       help="key = value file supplying flag defaults")
+        return p
 
-    sub = new("device", _cmd_device, "List, inspect or export device presets.")
-    sub.parser.add_argument("action", choices=("list", "show", "export"))
-    sub.parser.add_argument("label", nargs="?", default=None)
-    sub.parser.add_argument("path", nargs="?", default=None)
+    def output(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", help="output file (default: stdout)")
+        p.add_argument("--format", default="csv", choices=("csv", "json"),
+                       help="output encoding (identical numeric content)")
 
-    sub = new("cool-curve", _cmd_cool_curve,
-              "Sideband-cooling curve over a photon-number grid.")
-    sub.add("--device", default="A")
-    sub.add("--nc-min", default=0.01, type=float)
-    sub.add("--nc-max", default=1e4, type=float)
-    sub.add("--points", default=200, type=int)
-    sub.add("--heating", default="default",
-            help="'default', 'zero', or a heating-parameter JSON file")
-    sub.add_common_output()
+    p = new("device", _cmd_device, "List, inspect or export device presets.")
+    p.add_argument("action", choices=("list", "show", "export"))
+    p.add_argument("label", nargs="?", default=None)
+    p.add_argument("path", nargs="?", default=None)
 
-    sub = new("omit", _cmd_omit,
-              "Coherent reflection spectrum at one pump detuning.")
-    sub.add("--device", default="A")
-    sub.add("--nc", type=float, required=True)
-    sub.add("--detuning-hz", default=None, type=float,
-            help="pump detuning (default: -omega_m)")
-    sub.add("--span-hz", default=2e9, type=float)
-    sub.add("--points", default=2001, type=int)
-    sub.add_common_output()
+    p = new("cool-curve", _cmd_cool_curve, "Sideband-cooling curve over a photon-number grid.")
+    p.add_argument("--device", default="A")
+    p.add_argument("--nc-min", default=0.01, type=float)
+    p.add_argument("--nc-max", default=1e4, type=float)
+    p.add_argument("--points", default=200, type=int)
+    p.add_argument("--heating", default="default",
+                   help="'default', 'zero', or a heating-parameter JSON file")
+    output(p)
 
-    sub = new("omit-map", _cmd_omit_map,
-              "Reflection magnitude over a detuning x probe-frequency grid.")
-    sub.add("--device", default="A")
-    sub.add("--nc", type=float, required=True)
-    sub.add("--detuning-min-hz", default=None, type=float)
-    sub.add("--detuning-max-hz", default=None, type=float)
-    sub.add("--detuning-points", default=41, type=int)
-    sub.add("--span-hz", default=2e9, type=float)
-    sub.add("--points", default=201, type=int)
-    sub.add_common_output()
+    p = new("omit", _cmd_omit, "Coherent reflection spectrum at one pump detuning.",
+            required=("nc",))
+    p.add_argument("--device", default="A")
+    p.add_argument("--nc", type=float)
+    p.add_argument("--detuning-hz", type=float, help="pump detuning (default: -omega_m)")
+    p.add_argument("--span-hz", default=2e9, type=float)
+    p.add_argument("--points", default=2001, type=int)
+    output(p)
 
-    sub = new("pulse-sim", _cmd_pulse_sim,
-              "Simulate a time-tagged click stream for one pulse train.")
-    sub.add("--device", default="B")
-    sub.add("--rep-rate", default=188e3, type=float)
-    sub.add("--tau-ns", default=80.0, type=float)
-    sub.add("--peak-power", default=7.4e-6, type=float, help="on-chip peak power (W)")
-    sub.add("--pulses", default=100000, type=int)
-    sub.add("--seed", default=0, type=int)
-    sub.add("--detuning", default="blue", choices=("red", "blue"))
-    sub.add("--kernel", default="default",
-            help="'default', 'zero', or a kernel JSON file")
-    sub.add("--eta", default=0.05, type=float)
-    sub.add("--dark-rate", default=5.0, type=float)
-    sub.add("--window-ns", default=None, type=float,
-            help="detection gate (default: tau-ns)")
-    sub.add("--workers", default=1, type=int)
-    sub.add_common_output()
+    p = new("omit-map", _cmd_omit_map,
+            "Reflection magnitude over a detuning x probe-frequency grid.", required=("nc",))
+    p.add_argument("--device", default="A")
+    p.add_argument("--nc", type=float)
+    p.add_argument("--detuning-min-hz", type=float)
+    p.add_argument("--detuning-max-hz", type=float)
+    p.add_argument("--detuning-points", default=41, type=int)
+    p.add_argument("--span-hz", default=2e9, type=float)
+    p.add_argument("--points", default=201, type=int)
+    output(p)
 
-    sub = new("estimate", _cmd_estimate,
-              "Occupancy from blue/red click streams (sideband asymmetry).")
-    sub.add("--blue", required=True, help="blue-train click CSV")
-    sub.add("--red", required=True, help="red-train click CSV")
-    sub.add("--pulses", type=int, required=True, help="pulses per stream")
-    sub.add("--dark-rate", default=5.0, type=float)
-    sub.add("--window-ns", default=80.0, type=float)
-    sub.add("--out", default=None)
+    p = new("pulse-sim", _cmd_pulse_sim,
+            "Simulate a time-tagged click stream for one pulse train.")
+    p.add_argument("--device", default="B")
+    p.add_argument("--rep-rate", default=188e3, type=float)
+    p.add_argument("--tau-ns", default=80.0, type=float)
+    p.add_argument("--peak-power", default=7.4e-6, type=float, help="on-chip peak power (W)")
+    p.add_argument("--pulses", default=100000, type=int)
+    p.add_argument("--seed", default=0, type=int)
+    p.add_argument("--detuning", default="blue", choices=("red", "blue"))
+    p.add_argument("--kernel", default="default",
+                   help="'default', 'zero', or a kernel JSON file")
+    p.add_argument("--eta", default=0.05, type=float)
+    p.add_argument("--dark-rate", default=5.0, type=float)
+    p.add_argument("--window-ns", type=float, help="detection gate (default: tau-ns)")
+    p.add_argument("--workers", default=1, type=int)
+    output(p)
 
-    sub = new("histogram", _cmd_histogram,
-              "Per-bin click rates for a blue and a red stream.")
-    sub.add("--blue", required=True)
-    sub.add("--red", required=True)
-    sub.add("--pulses", type=int, required=True)
-    sub.add("--bin-ns", default=4.0, type=float)
-    sub.add("--window-ns", default=80.0, type=float)
-    sub.add_common_output()
+    p = new("estimate", _cmd_estimate,
+            "Occupancy from blue/red click streams (sideband asymmetry).",
+            required=("blue", "red", "pulses"))
+    p.add_argument("--blue", help="blue-train click CSV")
+    p.add_argument("--red", help="red-train click CSV")
+    p.add_argument("--pulses", type=int, help="pulses per stream")
+    p.add_argument("--dark-rate", default=5.0, type=float)
+    p.add_argument("--window-ns", default=80.0, type=float)
+    p.add_argument("--out")
 
-    sub = new("taper", _cmd_taper, "Adiabatic taper schedule for d and h.")
-    sub.add("--device", default="B", help="design preset label or JSON file")
-    sub.add("--cells", default=17, type=int)
-    sub.add_common_output()
+    p = new("histogram", _cmd_histogram, "Per-bin click rates for a blue and a red stream.",
+            required=("blue", "red", "pulses"))
+    p.add_argument("--blue")
+    p.add_argument("--red")
+    p.add_argument("--pulses", type=int)
+    p.add_argument("--bin-ns", default=4.0, type=float)
+    p.add_argument("--window-ns", default=80.0, type=float)
+    output(p)
 
-    sub = new("fit", _cmd_fit, "Least-squares fits; writes a FitResult JSON.")
-    sub.parser.add_argument("kind", choices=("lorentzian", "fano", "g0", "heating"))
-    sub.add("--in", dest="in_path", default=None, required=True, metavar="CSV")
-    sub.add("--branch", default=None, choices=("red", "blue"))
-    sub.add("--device", default=None)
-    sub.add("--kappa-hz", default=None, type=float)
-    sub.add("--gamma0-hz", default=None, type=float)
-    sub.add("--n-th0", default=repr(core.DEFAULT_HEATING.n_th0),
-            help="fixed base occupancy or 'free'")
-    sub.add("--out", default=None)
+    p = new("taper", _cmd_taper, "Adiabatic taper schedule for d and h.")
+    p.add_argument("--device", default="B", help="design preset label or JSON file")
+    p.add_argument("--cells", default=17, type=int)
+    output(p)
+
+    p = new("fit", _cmd_fit, "Least-squares fits; writes a FitResult JSON.",
+            required=("in_path",))
+    p.add_argument("kind", choices=("lorentzian", "fano", "g0", "heating"))
+    p.add_argument("--in", dest="in_path", metavar="CSV")
+    p.add_argument("--branch", choices=("red", "blue"))
+    p.add_argument("--device")
+    p.add_argument("--kappa-hz", type=float)
+    p.add_argument("--gamma0-hz", type=float)
+    p.add_argument("--n-th0", default=repr(core.DEFAULT_HEATING.n_th0),
+                   help="fixed base occupancy or 'free'")
+    p.add_argument("--out")
 
     return parser
 
@@ -484,18 +455,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
-    if getattr(ns, "_func", None) is None:
+    if getattr(args, "_func", None) is None:
         parser.print_help()
         return 2
     formatwarning = warnings.formatwarning  # a regime warning prints as one line
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
-        args = _merge_args(ns)
-        return ns._func(args)
+        if args.config is not None:  # config values become defaults; flags still win
+            args._parser.set_defaults(**_config_defaults(args._parser, args.config))
+            args = parser.parse_args(argv)
+        missing = [_flags(args._parser)[k].option_strings[0] for k in args._required
+                   if getattr(args, k) is None]
+        if missing:
+            raise ValueError(f"missing required flag(s): {', '.join(missing)}")
+        return args._func(args)
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
@@ -503,12 +480,12 @@ def main(argv=None) -> int:
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # numeric failure; LinAlgError is a ValueError
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     finally:
         warnings.formatwarning = formatwarning
 

@@ -80,6 +80,14 @@ def _check(name: str, value, *, positive: bool = False, ge=None, within=None):
     return value
 
 
+def _angular(name: str, f_hz, **bound):
+    """``f_hz``, checked by ``_check(name, f_hz, **bound)``, in rad/s, where it
+    must stay finite too: a finite 1e308 Hz overflows the conversion."""
+    _check(name, f_hz, **bound)
+    with np.errstate(over="ignore"):
+        return _check(f"{name} in rad/s", hz_to_angular(f_hz))
+
+
 def _number(data: dict, key: str, default: float | None = None) -> float:
     """``data[key]`` of a JSON spec as a float, or ``default`` if the key is
     absent (required if None). Anything but a JSON number within the float

@@ -210,6 +210,9 @@ def gauss_newton(
 # --- auto-initialization helpers ---
 
 
+# the seeds run with float errors raised: a trace whose values overflow them
+# (such as +-1e308) is a FloatingPointError, not a warning and a nan seed
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _lorentzian_init(x: np.ndarray, y: np.ndarray):
     """Initial (center, fwhm, amplitude, offset) from the extremum, the
     half-max crossings nearest to it, and the median offset."""
@@ -283,17 +286,12 @@ def fit_lorentzian(trace, initial: dict | None = None) -> FitResult:
     return result
 
 
-def fit_fano(trace, initial: dict | None = None) -> FitResult:
-    """Fit the asymmetric (Fano) resonance line to a real trace.
-
-    Auto-initialization reuses the Lorentzian seed for center/width, then
-    screens a few asymmetry values, solving amplitude and offset linearly
-    for each, and keeps the best before the nonlinear refinement.
-    """
-    x, y = _as_trace_arrays(trace)
-    if x.size < 5:
-        raise ValueError("need at least 5 samples")
-    c0, w0, a_lor, off0 = _lorentzian_init(x, y)
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def _fano_init(x: np.ndarray, y: np.ndarray):
+    """Initial (center, width, q_fano, amplitude, offset): the Lorentzian seed's
+    center and width, and the best of a few asymmetries with amplitude and
+    offset solved linearly for each."""
+    c0, w0, _, _ = _lorentzian_init(x, y)
     best = None
     for q0 in (-10.0, -3.0, -1.0, 1.0, 3.0, 10.0):
         hw = w0 / 2.0
@@ -304,6 +302,19 @@ def fit_fano(trace, initial: dict | None = None) -> FitResult:
         if best is None or res < best[0]:
             best = (res, q0, float(coef[0]), float(coef[1]))
     _, q0, a0, offq = best
+    return c0, w0, q0, a0, offq
+
+
+def fit_fano(trace, initial: dict | None = None) -> FitResult:
+    """Fit the asymmetric (Fano) resonance line to a real trace.
+
+    Parameters are auto-initialized by ``_fano_init`` unless ``initial``
+    overrides them (keys: center, width, q_fano, amplitude, offset).
+    """
+    x, y = _as_trace_arrays(trace)
+    if x.size < 5:
+        raise ValueError("need at least 5 samples")
+    c0, w0, q0, a0, offq = _fano_init(x, y)
     guess = {"center": c0, "width": w0, "q_fano": q0, "amplitude": a0, "offset": offq}
     if initial:
         guess.update(initial)
@@ -320,6 +331,7 @@ def fit_fano(trace, initial: dict | None = None) -> FitResult:
     )
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def fit_g0_from_linewidths(
     n_c,
     gamma_m,
@@ -333,7 +345,8 @@ def fit_g0_from_linewidths(
     Weighted linear fit of gamma_m = gamma_0 +/- (4 g0^2/kappa) n_c with the
     intercept fixed at the supplied intrinsic linewidth; the slope sign must
     match the declared branch (red: broadening, blue: narrowing). All rates
-    are angular; ``sigma`` (same units as gamma_m) sets the weights.
+    are angular; ``sigma`` (same units as gamma_m) sets the weights. Data that
+    overflow the sums (such as n_c = 1e200) raise FloatingPointError.
     """
     x = np.asarray(n_c, dtype=float)
     y = np.asarray(gamma_m, dtype=float)

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import table
-from .constants import angular_to_hz, hz_to_angular
-from .core import Device, _check
+from .constants import angular_to_hz
+from .core import Device, _angular, _check
 
 __all__ = [
     "SpectrumTrace",
@@ -52,7 +52,7 @@ class SpectrumTrace:
         values = np.asarray(self.values)
         if freq.ndim != 1 or values.shape != freq.shape:
             raise ValueError("freq and values must be 1-d arrays of equal length")
-        if not np.all(np.diff(freq) > 0):
+        if not np.all(freq[1:] > freq[:-1]):  # no np.diff: a step may overflow
             raise ValueError("freq must be strictly increasing")
         _check("freq", freq)
         if self.kind not in TRACE_KINDS:
@@ -286,4 +286,4 @@ def read_trace_csv(path: str | Path, kind: str = "generic") -> SpectrumTrace:
         values = cols["value"]
     else:
         raise ValueError(f"unrecognized trace header: {list(cols)}")
-    return SpectrumTrace(freq=hz_to_angular(cols["freq_hz"]), values=values, kind=kind)
+    return SpectrumTrace(freq=_angular("freq_hz", cols["freq_hz"]), values=values, kind=kind)

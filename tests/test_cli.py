@@ -93,6 +93,14 @@ class TestDeviceCommand:
         assert float(parse_kv(out)["g0_hz"]) == pytest.approx(123456.0, rel=1e-12)
 
 
+    def test_list_skips_files_that_are_not_devices(self, capsys, tmp_path, monkeypatch):
+        core.save_device(core.DEVICE_PRESETS["A"], tmp_path / "C.json")
+        geometry.save_design(tmp_path / "Z.json", geometry.DESIGN_PRESETS["B"])
+        monkeypatch.setenv("OMX_PRESET_DIR", str(tmp_path))
+        code, out, err = run(capsys, "device", "list")
+        assert (code, out.split(), err) == (0, ["A", "B", "C"], "")
+
+
 class TestCoolCurveCommand:
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "cool-curve", "--device", "A",
@@ -406,6 +414,27 @@ def test_overflowing_fit_prints_one_line_in_a_fresh_process(tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["lorentzian", "fano"])
+def test_fit_of_an_overflowing_trace_prints_one_line_in_a_fresh_process(tmp_path, kind):
+    """Trace values of +-1e308 overflow the fit seed: exit 1, one line, no numpy
+    warning and no LAPACK message."""
+    path = tmp_path / "trace.csv"
+    path.write_text("freq_hz,value\n1,1e308\n2,-1e308\n3,1e308\n4,-1e308\n5,1e308\n6,0\n")
+    proc = fresh_omx("fit", kind, "--in", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_out_of_memory_is_a_numeric_failure(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 251. TiB for an array")
+
+    monkeypatch.setattr(pulsed, "_block_clicks", exhausted)
+    code, out, err = run(capsys, "pulse-sim", "--pulses", "10")
+    assert (code, out) == (1, "")
+    assert err == "error: Unable to allocate 251. TiB for an array\n"
+
+
 @pytest.mark.parametrize("argv,warning", [
     (["pulse-sim", "--pulses", "10", "--peak-power", "1e-3"],
      "scattering probability 6.618 > 0.2; linearized per-pulse picture is marginal"),
@@ -626,6 +655,42 @@ class TestFitCommand:
         code, _, err = run(capsys, "fit", "lorentzian", "--in", "/nonexistent.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("sigma", ["0", "-1"])
+    def test_g0_rejects_non_positive_sigma(self, capsys, tmp_path, sigma):
+        path = tmp_path / "linewidths.csv"
+        path.write_text(f"n_c,gamma_m_hz,sigma_hz\n100,210000,{sigma}\n200,215000,{sigma}\n")
+        code, out, err = run(capsys, "fit", "g0", "--in", str(path), "--device", "A",
+                             "--branch", "red")
+        assert (code, out, err) == (2, "", "error: sigma_hz must be positive\n")
+
+    def test_g0_rejects_a_linewidth_beyond_the_float_range_in_rad_s(self, capsys, tmp_path):
+        path = tmp_path / "linewidths.csv"
+        path.write_text("n_c,gamma_m_hz\n100,1e308\n200,215000\n")
+        code, out, err = run(capsys, "fit", "g0", "--in", str(path), "--device", "A",
+                             "--branch", "red")
+        assert (code, out) == (2, "")
+        assert err == "error: gamma_m_hz in rad/s must be finite, got inf\n"
+
+    def test_g0_overflow_is_a_numeric_failure(self, capsys, tmp_path):
+        path = tmp_path / "linewidths.csv"
+        path.write_text("n_c,gamma_m_hz\n1e200,210000\n2e200,215000\n")
+        code, out, err = run(capsys, "fit", "g0", "--in", str(path), "--device", "A",
+                             "--branch", "red")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: overflow") and err.count("\n") == 1
+
+    def test_singular_linalg_is_a_numeric_failure(self, capsys, tmp_path, monkeypatch):
+        from omx import fitkit
+
+        def singular(trace):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(fitkit, "fit_lorentzian", singular)
+        code, out, err = run(capsys, "fit", "lorentzian", "--in",
+                             str(Path(__file__).parent / "golden" / "omit.csv"))
+        assert (code, out) == (1, "")
+        assert err == "error: SVD did not converge in Linear Least Squares\n"
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
@@ -670,6 +735,49 @@ class TestConfigFile:
         code, _, err = run(capsys, "taper", "--config", str(config))
         assert code == 2
         assert "key = value" in err
+
+
+    def test_required_flag_from_config(self, capsys, tmp_path):
+        config = tmp_path / "omit.cfg"
+        config.write_text("nc = 100\npoints = 11\n")
+        code, out, err = run(capsys, "omit", "--config", str(config))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "omit", "--nc", "100", "--points", "11")[1]
+
+    def test_explicit_format_overrides_config(self, capsys, tmp_path):
+        config = tmp_path / "taper.cfg"
+        config.write_text("format = json\ncells = 3\n")
+        code, out, _ = run(capsys, "taper", "--config", str(config))
+        assert code == 0 and json.loads(out)
+        code, out, err = run(capsys, "taper", "--config", str(config), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "taper", "--cells", "3")[1]
+
+    @pytest.mark.parametrize("key", ["kind", "help"])
+    def test_config_key_that_is_not_an_optional_flag_warns(self, capsys, tmp_path, key):
+        config = tmp_path / "fit.cfg"
+        config.write_text(f"{key} = fano\n")
+        trace = tmp_path / "dip.csv"
+        freq = np.linspace(1e9, 2e9, 41)
+        trace.write_text("freq_hz,value\n" + "".join(
+            f"{f!r},{1.0 - 0.5 / (1.0 + ((f - 1.5e9) / 1e8) ** 2)!r}\n" for f in freq.tolist()))
+        code, out, err = run(capsys, "fit", "lorentzian", "--config", str(config),
+                             "--in", str(trace))
+        assert code == 0 and json.loads(out)["fit"] == "lorentzian"
+        assert err == f"warning: config key {key!r} not used by this command\n"
+
+    def test_config_value_of_the_wrong_type(self, capsys, tmp_path):
+        config = tmp_path / "curve.cfg"
+        config.write_text("points = abc\n")
+        code, out, err = run(capsys, "cool-curve", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "abc" in err and err.count("\n") == 1
+
+    def test_missing_required_flag_names_the_flag(self, capsys, tmp_path):
+        config = tmp_path / "fit.cfg"
+        config.write_text("branch = red\n")
+        code, out, err = run(capsys, "fit", "g0", "--config", str(config))
+        assert (code, out, err) == (2, "", "error: missing required flag(s): --in\n")
 
 
 class TestTopLevel:

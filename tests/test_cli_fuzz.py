@@ -1,8 +1,9 @@
 """Property test of the CLI contract: every command either succeeds with
 finite output or exits 1 (numeric failure) or 2 (usage or input error), and
 a non-finite number on the command line, or a value in a JSON spec file that
-is not a finite number, is always a usage error. No run prints a traceback or
-a numpy RuntimeWarning."""
+is not a finite number, is always a usage error. The fits also read input
+files with extreme finite values (+-1e308, n_c = 1e200, sigma_hz <= 0). No run
+prints a traceback or a numpy RuntimeWarning."""
 
 import contextlib
 import io
@@ -37,6 +38,8 @@ FLOATS = {
     "estimate": {"--dark-rate": ("0", "5"), "--window-ns": ("80", "40")},
     "histogram": {"--bin-ns": ("0.5", "4", "80"), "--window-ns": ("80", "100")},
     "taper": {},
+    "fit lorentzian": {},
+    "fit fano": {},
     "fit g0": {"--kappa-hz": ("0.8e9", "1.1e9"), "--gamma0-hz": ("206e3", "715e3")},
     "fit heating": {"--n-th0": ("7.95", "0", "free")},
 }
@@ -48,8 +51,20 @@ INTS = {
     "estimate": {"--pulses": ("0", "1", "2000")},
     "histogram": {"--pulses": ("0", "1", "2000")},
     "taper": {"--cells": ("0", "1", "17")},
+    "fit lorentzian": {},
+    "fit fano": {},
     "fit g0": {},
     "fit heating": {},
+}
+# the --in files of each fit: a clean one, then extreme finite values, with
+# whether each is an input error (exit 2); the others may fail only as exit 1
+TRACES = (("trace", False), ("trace_huge", False), ("trace_freq_huge", True))
+INPUTS = {
+    "fit lorentzian": TRACES,
+    "fit fano": TRACES,
+    "fit g0": (("g0", False), ("g0_sigma_zero", True), ("g0_sigma_negative", True),
+               ("g0_gamma_huge", True), ("g0_nc_huge", False)),
+    "fit heating": (("heating_data", False), ("heating_nc_huge", False)),
 }
 # the JSON spec flag of each command and the kind of file it reads
 SPECS = {"omit": ("--device", "device"), "omit-map": ("--device", "device"),
@@ -91,13 +106,26 @@ def files(tmp_path_factory):
     n_c = np.geomspace(10, 4000, 8)
     gamma_hz = (device.mechanical.gamma_0 + 4 * device.g0**2 / device.optical.kappa * n_c) \
         / (2 * math.pi)
-    paths["g0"] = root / "g0.csv"
-    paths["g0"].write_text("n_c,gamma_m_hz\n" + "".join(
-        f"{x!r},{y!r}\n" for x, y in zip(n_c.tolist(), gamma_hz.tolist())))
     n_m = core.heating_model_occupancy(device, core.DEFAULT_HEATING, n_c)
-    paths["heating_data"] = root / "heating.csv"
-    paths["heating_data"].write_text("n_c,n_m\n" + "".join(
-        f"{x!r},{y!r}\n" for x, y in zip(n_c.tolist(), n_m.tolist())))
+    freq = np.linspace(7.3e9, 7.5e9, 41)
+    dip = 1.0 - 0.6 / (1.0 + ((freq - 7.4e9) / 20e6) ** 2)
+    ones = np.ones(n_c.size)
+    tables = {
+        "g0": ("n_c,gamma_m_hz", n_c, gamma_hz),
+        "g0_sigma_zero": ("n_c,gamma_m_hz,sigma_hz", n_c, gamma_hz, 0 * ones),
+        "g0_sigma_negative": ("n_c,gamma_m_hz,sigma_hz", n_c, gamma_hz, -ones),
+        "g0_gamma_huge": ("n_c,gamma_m_hz", n_c, np.where(n_c == n_c[3], 1e308, gamma_hz)),
+        "g0_nc_huge": ("n_c,gamma_m_hz", n_c * 1e200 / n_c[0], gamma_hz),
+        "heating_data": ("n_c,n_m", n_c, n_m),
+        "heating_nc_huge": ("n_c,n_m", n_c * 1e200 / n_c[0], n_m),
+        "trace": ("freq_hz,value", freq, dip),
+        "trace_huge": ("freq_hz,value", freq, 1e308 * np.resize([1.0, -1.0], freq.size)),
+        "trace_freq_huge": ("freq_hz,value", freq * 1e298, dip),
+    }
+    for name, (header, *columns) in tables.items():
+        paths[name] = root / f"{name}.csv"
+        paths[name].write_text(header + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist() for c in columns))))
     return paths
 
 
@@ -131,17 +159,21 @@ def invocations(draw, command, files):
         argv += [flag, draw(st.sampled_from(values))]
     if command in SPECS:
         flag, kind = SPECS[command]
-        spec = draw(st.sampled_from([None, files["good"][kind]] + files["bad"][kind]))
+        # half the draws keep a usable spec, so the inputs behind it are reached too
+        spec = draw(st.one_of(st.sampled_from([None, files["good"][kind]]),
+                              st.sampled_from(files["bad"][kind])))
         if spec is not None:
             bad_input |= spec != files["good"][kind]
             argv += [flag, str(spec)]
     if command in ("estimate", "histogram"):
         argv += ["--blue", str(files["blue"]), "--red", str(files["red"])]
+    if command in INPUTS:
+        name, bad = draw(st.sampled_from(INPUTS[command]))
+        bad_input |= bad
+        argv += ["--in", str(files[name])]
     if command == "fit g0":
-        argv += ["--in", str(files["g0"]), "--branch", "red"]
-    if command == "fit heating":
-        argv += ["--in", str(files["heating_data"])]
-    as_json = command in ("estimate", "fit g0", "fit heating")
+        argv += ["--branch", "red"]
+    as_json = command == "estimate" or command in INPUTS
     if not as_json and draw(st.booleans()):
         argv += ["--format", "json"]
         as_json = True

@@ -100,6 +100,10 @@ class TestSpectrumTrace:
         with pytest.raises(ValueError, match="strictly increasing"):
             spectra.SpectrumTrace(np.array([1.0, np.nan, 2.0]), np.zeros(3))
 
+    def test_step_beyond_the_float_range_is_increasing(self):
+        trace = spectra.SpectrumTrace(np.array([-1.5e308, 1.5e308]), np.zeros(2))
+        assert trace.freq[1] > trace.freq[0]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             spectra.SpectrumTrace(np.arange(3.0), np.zeros(3), kind="nope")
