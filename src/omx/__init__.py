@@ -13,129 +13,60 @@ Convention: every frequency or rate held in memory is angular (rad/s);
 every frequency or rate crossing an I/O boundary (files, CLI flags) is
 cyclic (Hz). Constructors named ``from_hz`` and the CSV/JSON helpers do the
 conversion.
+
+``import omx`` loads no submodule: each public name below is imported from
+its submodule on first use (PEP 562), so a command pays only for what it runs.
 """
 
-from .constants import HBAR, K_B, TWO_PI, angular_to_hz, hz_to_angular
-from .core import (
-    DEFAULT_HEATING,
-    DEVICE_PRESETS,
-    ZERO_HEATING,
-    BackactionResult,
-    CoolingTable,
-    Device,
-    Drive,
-    HeatingParams,
-    MechanicalMode,
-    OpticalMode,
-    backaction,
-    cooling_curve,
-    cooperativity,
-    heating_model_occupancy,
-    intracavity_photons,
-    load_device,
-    resolved_sideband_damping,
-    save_device,
-    temperature_from_occupancy,
-    thermal_occupancy,
-)
-from .fitkit import (
-    FitResult,
-    fit_fano,
-    fit_g0_from_linewidths,
-    fit_heating_params,
-    fit_lorentzian,
-    gauss_newton,
-)
-from .geometry import (
-    DESIGN_PRESETS,
-    DesignParams,
-    TaperSchedule,
-    UnitCellParams,
-    generate_schedule,
-    taper_value,
-)
-from .pulsed import (
-    AsymmetryResult,
-    ClickStream,
-    DetectionChain,
-    HeatingKernel,
-    PulseTrain,
-    estimate_occupancy,
-    fit_heating_kernel,
-    histogram,
-    scattering_probability,
-    simulate_clicks,
-    steady_state_prepulse_occupancy,
-)
-from .spectra import (
-    LorentzianComponent,
-    NormalModes,
-    SpectrumTrace,
-    extract_splitting,
-    normal_modes,
-    occupancy_from_areas,
-    omit_reflection,
-    psd_model,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HBAR",
-    "K_B",
-    "TWO_PI",
-    "angular_to_hz",
-    "hz_to_angular",
-    "OpticalMode",
-    "MechanicalMode",
-    "Device",
-    "Drive",
-    "HeatingParams",
-    "BackactionResult",
-    "CoolingTable",
-    "DEVICE_PRESETS",
-    "DEFAULT_HEATING",
-    "ZERO_HEATING",
-    "thermal_occupancy",
-    "temperature_from_occupancy",
-    "intracavity_photons",
-    "cooperativity",
-    "resolved_sideband_damping",
-    "backaction",
-    "heating_model_occupancy",
-    "cooling_curve",
-    "load_device",
-    "save_device",
-    "SpectrumTrace",
-    "NormalModes",
-    "LorentzianComponent",
-    "omit_reflection",
-    "normal_modes",
-    "extract_splitting",
-    "psd_model",
-    "occupancy_from_areas",
-    "PulseTrain",
-    "DetectionChain",
-    "HeatingKernel",
-    "ClickStream",
-    "AsymmetryResult",
-    "scattering_probability",
-    "steady_state_prepulse_occupancy",
-    "fit_heating_kernel",
-    "simulate_clicks",
-    "estimate_occupancy",
-    "histogram",
-    "FitResult",
-    "gauss_newton",
-    "fit_lorentzian",
-    "fit_fano",
-    "fit_g0_from_linewidths",
-    "fit_heating_params",
-    "UnitCellParams",
-    "DesignParams",
-    "TaperSchedule",
-    "DESIGN_PRESETS",
-    "taper_value",
-    "generate_schedule",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("HBAR", "K_B", "TWO_PI", "angular_to_hz", "hz_to_angular"),
+                    "constants"),
+    **dict.fromkeys((
+        "OpticalMode", "MechanicalMode", "Device", "Drive", "HeatingParams",
+        "BackactionResult", "CoolingTable", "DEVICE_PRESETS", "DEFAULT_HEATING",
+        "ZERO_HEATING", "thermal_occupancy", "temperature_from_occupancy",
+        "intracavity_photons", "cooperativity", "resolved_sideband_damping", "backaction",
+        "heating_model_occupancy", "cooling_curve", "load_device", "save_device",
+    ), "core"),
+    **dict.fromkeys((
+        "SpectrumTrace", "NormalModes", "LorentzianComponent", "omit_reflection",
+        "normal_modes", "extract_splitting", "psd_model", "occupancy_from_areas",
+    ), "spectra"),
+    **dict.fromkeys((
+        "PulseTrain", "DetectionChain", "HeatingKernel", "ClickStream", "AsymmetryResult",
+        "scattering_probability", "steady_state_prepulse_occupancy", "fit_heating_kernel",
+        "simulate_clicks", "estimate_occupancy", "histogram",
+    ), "pulsed"),
+    **dict.fromkeys((
+        "FitResult", "gauss_newton", "fit_lorentzian", "fit_fano", "fit_g0_from_linewidths",
+        "fit_heating_params",
+    ), "fitkit"),
+    **dict.fromkeys((
+        "UnitCellParams", "DesignParams", "TaperSchedule", "DESIGN_PRESETS", "taper_value",
+        "generate_schedule",
+    ), "geometry"),
+}
+# resolved too, so ``omx.pulsed`` works after a bare ``import omx`` as it did
+# when the package imported every submodule
+_SUBMODULES = frozenset({*_EXPORTS.values(), "table", "cli"})
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():  # lists the names not yet imported too
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

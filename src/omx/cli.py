@@ -26,7 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, fitkit, geometry, pulsed, spectra, table
+# spectra, pulsed, geometry and fitkit are imported by the handlers that use
+# them, so each command loads only what it runs
+from . import core, table
 from .constants import angular_to_hz, hz_to_angular
 
 __all__ = ["main", "build_parser"]
@@ -54,8 +56,15 @@ def _read_config(path: str) -> dict:
 
 
 def _flags(parser: argparse.ArgumentParser) -> dict:
-    """The optional flags of ``parser`` (``--help`` aside), by dest."""
-    return {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    """The optional flags of ``parser`` (``--help`` aside), by dest and by long
+    option in config-key form: ``in`` and ``in_path`` both name ``--in``."""
+    flags = {}
+    for action in parser._actions:
+        if action.option_strings and action.dest != "help":
+            flags[action.dest] = action
+            flags.update((opt[2:].replace("-", "_"), action)
+                         for opt in action.option_strings if opt.startswith("--"))
+    return flags
 
 
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
@@ -67,8 +76,8 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
         if (action := flags.get(key)) is None:
             print(f"warning: config key {key!r} not used by this command", file=sys.stderr)
             continue
-        values[key] = (action.type or str)(raw)
-        if action.choices is not None and values[key] not in action.choices:
+        value = values[action.dest] = (action.type or str)(raw)
+        if action.choices is not None and value not in action.choices:
             raise ValueError(f"{path}: {key} = {raw!r} is not one of "
                              f"{', '.join(action.choices)}")
     return values
@@ -82,8 +91,6 @@ def _load_device(label: str) -> core.Device:
 
 
 _HEATING_PRESETS = {"default": core.DEFAULT_HEATING, "zero": core.ZERO_HEATING}
-_KERNEL_PRESETS = {"default": pulsed.default_kernel(),
-                   "zero": pulsed.HeatingKernel(delta=0.0, tau_th=0.0, n_base=0.0)}
 
 
 def _load_heating(spec: str) -> core.HeatingParams:
@@ -96,7 +103,11 @@ def _load_heating(spec: str) -> core.HeatingParams:
 
 
 def _load_kernel(spec: str) -> pulsed.HeatingKernel:
-    return core._resolve("kernel", spec, _KERNEL_PRESETS, lambda data: pulsed.HeatingKernel(
+    from . import pulsed
+
+    presets = {"default": pulsed.default_kernel(),
+               "zero": pulsed.HeatingKernel(delta=0.0, tau_th=0.0, n_base=0.0)}
+    return core._resolve("kernel", spec, presets, lambda data: pulsed.HeatingKernel(
         delta=core._number(data, "delta"),
         tau_th=core._number(data, "tau_th_us") * 1e-6,
         n_base=core._number(data, "n_base", 0.0),
@@ -104,6 +115,8 @@ def _load_kernel(spec: str) -> pulsed.HeatingKernel:
 
 
 def _load_design(spec: str) -> geometry.DesignParams:
+    from . import geometry
+
     return core._resolve("design", spec, geometry.DESIGN_PRESETS, geometry.design_from_json,
                          _preset_dir())
 
@@ -193,6 +206,8 @@ def _probe_grid(device: core.Device, span_hz: float, points: int) -> np.ndarray:
 
 
 def _cmd_omit(args) -> int:
+    from . import spectra
+
     device = _load_device(args.device)
     if args.detuning_hz is None:
         detuning = -device.mechanical.omega_m
@@ -205,6 +220,8 @@ def _cmd_omit(args) -> int:
 
 
 def _cmd_omit_map(args) -> int:
+    from . import spectra
+
     device = _load_device(args.device)
     f_m = angular_to_hz(device.mechanical.omega_m)
     lo = -1.5 * f_m if args.detuning_min_hz is None else args.detuning_min_hz
@@ -226,6 +243,8 @@ def _cmd_omit_map(args) -> int:
 
 
 def _cmd_pulse_sim(args) -> int:
+    from . import pulsed
+
     device = _load_device(args.device)
     kernel = _load_kernel(args.kernel)
     tau = args.tau_ns * 1e-9
@@ -250,6 +269,8 @@ def _cmd_pulse_sim(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from . import pulsed
+
     core._check("pulses", args.pulses, ge=1)
     blue = pulsed.read_clicks_csv(args.blue)
     red = pulsed.read_clicks_csv(args.red)
@@ -266,6 +287,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
+    from . import pulsed
+
     window = args.window_ns * 1e-9
     bin_width = args.bin_ns * 1e-9
     blue, red = (pulsed.histogram(pulsed.read_clicks_csv(path), bin_width,
@@ -278,6 +301,8 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_taper(args) -> int:
+    from . import geometry
+
     design = _load_design(args.device)
     core._check("cells", args.cells, ge=1)
     schedule = geometry.generate_schedule(design, n_cells=args.cells)
@@ -297,8 +322,12 @@ def _resolve_rates(args, device: core.Device | None):
 
 
 def _cmd_fit(args) -> int:
+    from . import fitkit
+
     out: dict = {"fit": args.kind}
     if args.kind in ("lorentzian", "fano"):
+        from . import spectra
+
         trace = spectra.read_trace_csv(args.in_path)
         if args.kind == "lorentzian":
             result = fitkit.fit_lorentzian(trace)

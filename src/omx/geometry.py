@@ -202,7 +202,10 @@ def design_from_json(data: dict) -> DesignParams:
                         **{name: _number(data, key) for name, key in _DESIGN_KEYS.items()})
 
 
-def save_design(path, design: DesignParams) -> None:
+def save_design(design: DesignParams, path) -> None:
+    if not isinstance(design, DesignParams):  # e.g. the arguments swapped
+        raise TypeError(f"save_design(design, path) takes a DesignParams first, "
+                        f"got {type(design).__name__}")
     table.write_json(design_to_json(design), path)
 
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Device, _check
-from . import fitkit, table
+from . import table
 
 __all__ = [
     "PulseTrain",
@@ -212,6 +211,8 @@ def fit_heating_kernel(points, n_base: float = 0.0) -> HeatingKernel:
     """
     from scipy.optimize import brentq  # imported here so the CLI never loads scipy
 
+    from . import fitkit  # the only fitkit call in this module
+
     pts = sorted((float(r), float(n)) for r, n in points)
     if len(pts) < 2:
         raise ValueError("need at least 2 calibration points")
@@ -342,6 +343,8 @@ def simulate_clicks(device: Device, train: PulseTrain, chain: DetectionChain,
                              train.tau, chain.window, train.detuning_sign)
 
     if workers > 1 and n_blocks > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pooled run loads it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(run, range(n_blocks)))
     else:

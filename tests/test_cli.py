@@ -95,7 +95,7 @@ class TestDeviceCommand:
 
     def test_list_skips_files_that_are_not_devices(self, capsys, tmp_path, monkeypatch):
         core.save_device(core.DEVICE_PRESETS["A"], tmp_path / "C.json")
-        geometry.save_design(tmp_path / "Z.json", geometry.DESIGN_PRESETS["B"])
+        geometry.save_design(geometry.DESIGN_PRESETS["B"], tmp_path / "Z.json")
         monkeypatch.setenv("OMX_PRESET_DIR", str(tmp_path))
         code, out, err = run(capsys, "device", "list")
         assert (code, out.split(), err) == (0, ["A", "B", "C"], "")
@@ -550,7 +550,7 @@ class TestTaperCommand:
 
     def test_design_file_input(self, capsys, tmp_path):
         design_path = tmp_path / "design.json"
-        geometry.save_design(design_path, geometry.DESIGN_PRESETS["A"])
+        geometry.save_design(geometry.DESIGN_PRESETS["A"], design_path)
         code, out, _ = run(capsys, "taper", "--device", str(design_path),
                            "--cells", "5")
         assert code == 0
@@ -778,6 +778,17 @@ class TestConfigFile:
         config.write_text("branch = red\n")
         code, out, err = run(capsys, "fit", "g0", "--config", str(config))
         assert (code, out, err) == (2, "", "error: missing required flag(s): --in\n")
+
+    @pytest.mark.parametrize("key", ["in", "in_path", "in-path"])
+    def test_config_key_is_a_flag_name_or_its_dest(self, capsys, tmp_path, key):
+        path = tmp_path / "linewidths.csv"
+        path.write_text("n_c,gamma_m_hz\n100.0,210000.0\n200.0,215000.0\n")
+        config = tmp_path / "fit.cfg"
+        config.write_text(f"{key} = {path}\nbranch = red\ndevice = A\n")
+        code, out, err = run(capsys, "fit", "g0", "--config", str(config))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "fit", "g0", "--in", str(path), "--branch", "red",
+                          "--device", "A")[1]
 
 
 class TestTopLevel:

@@ -204,6 +204,13 @@ class TestDesignSerialization:
 
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "design.json"
-        geometry.save_design(path, geometry.DESIGN_PRESETS["A"])
+        geometry.save_design(geometry.DESIGN_PRESETS["A"], path)
         loaded = geometry.load_design(path)
         assert loaded == geometry.DESIGN_PRESETS["A"]
+
+    def test_save_with_swapped_arguments_is_a_type_error(self, tmp_path):
+        path = tmp_path / "design.json"
+        with pytest.raises(TypeError, match=r"save_design\(design, path\) takes a "
+                                            r"DesignParams first, got \w*Path"):
+            geometry.save_design(path, geometry.DESIGN_PRESETS["A"])
+        assert not path.exists()
