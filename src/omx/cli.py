@@ -24,11 +24,20 @@ import sys
 import warnings
 from pathlib import Path
 
+# numpy's OpenBLAS starts a worker thread per extra CPU at import, and no
+# command makes a BLAS call large enough to use one: run it on one thread.
+# OpenBLAS reads these three variables in this order, so a count the user set
+# in any of them wins; once numpy is loaded the setting can no longer take
+# effect, so such a process keeps its environment.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 # spectra, pulsed, geometry and fitkit are imported by the handlers that use
 # them, so each command loads only what it runs
-from . import core, table
+from . import __version__, core, table
 from .constants import angular_to_hz, hz_to_angular
 
 __all__ = ["main", "build_parser"]
@@ -262,6 +271,9 @@ def _cmd_pulse_sim(args) -> int:
     drive = core.Drive.at_detuning(device.optical, sign * device.mechanical.omega_m,
                                    on_chip_power=args.peak_power)
     n_c = core.intracavity_photons(device.optical, drive)
+    if not math.isfinite(n_c):
+        raise ValueError(f"--peak-power {args.peak_power!r} gives an intracavity photon "
+                         "number beyond the float range")
     clicks = pulsed.simulate_clicks(device, train, chain, kernel, n_c,
                                     seed=args.seed, workers=args.workers)
     table.write_table(pulsed.click_columns(clicks), args.out, args.format)
@@ -376,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="omx",
         description="Sideband-resolved optomechanics: simulation and analysis tools.",
     )
+    parser.add_argument("--version", action="version", version=f"omx {__version__}")
     subparsers = parser.add_subparsers(dest="_command", metavar="command")
 
     def new(name: str, func, help: str, required=()) -> argparse.ArgumentParser:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import omx
 from omx import core, geometry, pulsed, spectra
 from omx.cli import main
 from omx.constants import angular_to_hz
@@ -224,6 +226,12 @@ class TestPulseCommands:
                          "--out", str(p2))
         assert code == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_peak_power_overflowing_the_photon_number_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "pulse-sim", "--pulses", "10", "--peak-power", "1e300")
+        assert (code, out) == (2, "")
+        assert err == ("error: --peak-power 1e+300 gives an intracavity photon number "
+                       "beyond the float range\n")
 
     def test_seed_default_is_zero(self, capsys, tmp_path):
         p1, p2 = tmp_path / "default.csv", tmp_path / "explicit.csv"
@@ -796,6 +804,16 @@ class TestTopLevel:
         code, out, _ = run(capsys)
         assert code == 2
         assert "usage" in out.lower()
+
+    def test_version(self, capsys):
+        code, out, err = run(capsys, "--version")
+        assert (code, out, err) == (0, f"omx {omx.__version__}\n", "")
+
+    def test_version_is_the_package_version(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        # a regex, not tomllib: Python 3.10 has none
+        match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+        assert match is not None and match.group(1) == omx.__version__
 
     def test_unknown_command(self, capsys):
         code = main(["frobnicate"])

@@ -1,4 +1,5 @@
-"""What every command pays before it runs: the import set and the constants."""
+"""What every command pays before it runs: the import set, the BLAS threads and
+the constants."""
 
 import json
 import math
@@ -17,29 +18,49 @@ from omx.constants import HBAR, K_B
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs ``import omx``, then the commands given as a JSON list of argv lists, in
-# one fresh interpreter; prints the exit codes and what was loaded on the way.
+# Imports the modules named after the JSON argument, then ``omx``, then runs the
+# commands given as a JSON list of argv lists, in one fresh interpreter; prints
+# the exit codes, what was loaded on the way, the OS threads left at the end
+# (Linux only) and the environment variables that changed.
 SCRIPT = """
-import json, sys
+import importlib, json, os, sys, time
+environ = dict(os.environ)
+for name in sys.argv[2:]:
+    importlib.import_module(name)
 def loaded(top):
     return sorted(m for m in sys.modules if m.split(".")[0] == top)
 import omx
 after_import = loaded("omx")
 from omx.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
+threads = None
+if sys.platform.startswith("linux"):
+    # a joined pool thread can outlive Thread.join briefly at the OS level
+    deadline = time.monotonic() + 2.0
+    while ((threads := len(os.listdir("/proc/self/task"))) > 1
+           and "concurrent.futures" in sys.modules and time.monotonic() < deadline):
+        time.sleep(0.01)
+changed = {k: os.environ.get(k) for k in environ.keys() | os.environ.keys()
+           if os.environ.get(k) != environ.get(k)}
 print(json.dumps({"import_omx": after_import, "codes": codes, "omx": loaded("omx"),
-                  "scipy": loaded("scipy"), "futures": "concurrent.futures" in sys.modules}))
+                  "scipy": loaded("scipy"), "futures": "concurrent.futures" in sys.modules,
+                  "threads": threads, "environ_changed": changed}))
 """
 
 # what ``from omx.cli import main`` loads before any command runs
 CLI_MODULES = ["omx", "omx.cli", "omx.constants", "omx.core", "omx.table"]
 
+# the thread-count variables OpenBLAS reads, in its order
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-def fresh(*commands) -> dict:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
+
+def fresh(*commands, preload=(), **blas) -> dict:
+    """SCRIPT in a new interpreter. Its environment is this process's without
+    the BLAS thread variables, which pytest's may carry, plus ``blas``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands), *preload],
+                          env=dict(env, **blas), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -84,6 +105,47 @@ def test_each_command_loads_only_what_it_runs(trace, argv, extra, futures):
     assert result["codes"] == [0]
     assert result["omx"] == sorted(CLI_MODULES + extra)
     assert result["futures"] is futures  # the thread pool only for a pooled run
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("argv", [
+    ["device", "list"],
+    ["pulse-sim", "--pulses", "70000", "--workers", "2"],  # 2 blocks; the pool has joined
+    ["fit", "lorentzian", "--in", "{trace}"],
+], ids=["device", "pulse-sim-pooled", "fit"])
+def test_a_command_runs_blas_on_one_thread(trace, argv):
+    result = fresh([arg.format(trace=trace) for arg in argv])
+    assert result["codes"] == [0]
+    assert result["threads"] == 1
+    assert result["environ_changed"] == {"OPENBLAS_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_thread_count_the_user_set_wins(name):
+    result = fresh(["device", "list"], **{name: "2"})
+    assert (result["codes"], result["environ_changed"]) == ([0], {})
+    if sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2:
+        assert result["threads"] == 2  # one OpenBLAS worker beside the main thread
+
+
+def test_a_process_that_loaded_numpy_keeps_its_environment():
+    result = fresh(["device", "list"], preload=["numpy"])
+    assert (result["codes"], result["environ_changed"]) == ([0], {})
+
+
+def test_fit_bytes_do_not_depend_on_the_blas_thread_count(trace, tmp_path):
+    curve = tmp_path / "curve.csv"
+    assert fresh(["cool-curve", "--points", "20000", "--out", str(curve)])["codes"] == [0]
+    fits = [["fit", "heating", "--in", str(curve)], ["fit", "lorentzian", "--in", trace]]
+    outputs = {}
+    for threads in ("1", "2"):
+        paths = [tmp_path / f"{argv[1]}-{threads}.json" for argv in fits]
+        result = fresh(*[argv + ["--out", str(p)] for argv, p in zip(fits, paths)],
+                       OPENBLAS_NUM_THREADS=threads)
+        assert result["codes"] == [0, 0]
+        outputs[threads] = [p.read_bytes() for p in paths]
+    assert outputs["1"] == outputs["2"]
 
 
 def test_every_public_name_is_its_modules_object():
