@@ -6,7 +6,8 @@ the fitting helpers. Frequencies on the command line and in every file are
 cyclic Hz (times in ns, lengths in nm); conversion to the angular units used
 internally happens here and only here.
 
-Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error.
+Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error, 141 when
+the reader of stdout closes it early (128 + SIGPIPE, as GNU tools report).
 
 Flags may also be supplied through ``--config FILE`` (line-oriented
 ``key = value`` text, ``#`` comments); explicit flags win over the config
@@ -131,9 +132,11 @@ def _load_design(spec: str) -> geometry.DesignParams:
 
 
 # --- subcommand handlers -----------------------------------------------------
+# Each returns (output, failure): the columns or JSON payload that main writes
+# (None if it printed its own text) and an error main reports after it, or None.
 
 
-def _cmd_device(args) -> int:
+def _cmd_device(args) -> tuple:
     if args.action == "list":
         labels = sorted(core.DEVICE_PRESETS)
         directory = _preset_dir()
@@ -145,7 +148,7 @@ def _cmd_device(args) -> int:
                         labels.append(p.stem)
         for label in labels:
             print(label)
-        return 0
+        return None, None
     if args.label is None:
         raise ValueError(f"device {args.action} requires a preset label")
     device = _load_device(args.label)
@@ -170,16 +173,16 @@ def _cmd_device(args) -> int:
         ]
         for key, value in rows:
             print(f"{key} = {table.format_cell(value)}")
-        return 0
+        return None, None
     if args.action == "export":
         if args.path is None:
             raise ValueError("device export requires an output path")
         core.save_device(device, args.path)
-        return 0
+        return None, None
     raise ValueError(f"unknown device action {args.action!r}")
 
 
-def _cmd_cool_curve(args) -> int:
+def _cmd_cool_curve(args) -> tuple:
     device = _load_device(args.device)
     heating = _load_heating(args.heating)
     core._check("nc-min", args.nc_min)
@@ -190,10 +193,9 @@ def _cmd_cool_curve(args) -> int:
     grid = np.geomspace(args.nc_min, args.nc_max, args.points)
     curve = core.cooling_curve(device, heating, grid)
     t_eff = core.temperature_from_occupancy(device.mechanical.omega_m, curve.n_m)
-    table.write_table({"n_c": curve.n_c, "C": curve.cooperativity,
-                       "gamma_eff_hz": angular_to_hz(curve.gamma_eff),
-                       "n_m": curve.n_m, "t_eff_k": t_eff}, args.out, args.format)
-    return 0
+    return {"n_c": curve.n_c, "C": curve.cooperativity,
+            "gamma_eff_hz": angular_to_hz(curve.gamma_eff),
+            "n_m": curve.n_m, "t_eff_k": t_eff}, None
 
 
 def _grid_hz(flag: str, lo: float, hi: float, points: int) -> np.ndarray:
@@ -214,7 +216,7 @@ def _probe_grid(device: core.Device, span_hz: float, points: int) -> np.ndarray:
                                   points))
 
 
-def _cmd_omit(args) -> int:
+def _cmd_omit(args) -> tuple:
     from . import spectra
 
     device = _load_device(args.device)
@@ -224,11 +226,10 @@ def _cmd_omit(args) -> int:
         detuning = core._angular("detuning-hz", args.detuning_hz)
     probe = _probe_grid(device, args.span_hz, args.points)
     trace = spectra.omit_reflection(device, args.nc, detuning, probe)
-    table.write_table(spectra.trace_columns(trace), args.out, args.format)
-    return 0
+    return spectra.trace_columns(trace), None
 
 
-def _cmd_omit_map(args) -> int:
+def _cmd_omit_map(args) -> tuple:
     from . import spectra
 
     device = _load_device(args.device)
@@ -245,13 +246,12 @@ def _cmd_omit_map(args) -> int:
                             args.detuning_points)
     mag = np.abs(spectra.omit_reflection_map(device, args.nc, hz_to_angular(detunings_hz),
                                              probe))
-    table.write_table({"detuning_hz": np.repeat(detunings_hz, probe.size),
-                       "freq_hz": np.tile(angular_to_hz(probe), detunings_hz.size),
-                       "mag": mag.ravel()}, args.out, args.format)
-    return 0
+    return {"detuning_hz": np.repeat(detunings_hz, probe.size),
+            "freq_hz": np.tile(angular_to_hz(probe), detunings_hz.size),
+            "mag": mag.ravel()}, None
 
 
-def _cmd_pulse_sim(args) -> int:
+def _cmd_pulse_sim(args) -> tuple:
     from . import pulsed
 
     device = _load_device(args.device)
@@ -271,16 +271,17 @@ def _cmd_pulse_sim(args) -> int:
     drive = core.Drive.at_detuning(device.optical, sign * device.mechanical.omega_m,
                                    on_chip_power=args.peak_power)
     n_c = core.intracavity_photons(device.optical, drive)
-    if not math.isfinite(n_c):
-        raise ValueError(f"--peak-power {args.peak_power!r} gives an intracavity photon "
-                         "number beyond the float range")
+    if not math.isfinite(4.0 * device.g0**2 * n_c):  # p_s = 4 g0^2 n_c tau / kappa
+        what = ("a scattering probability" if math.isfinite(n_c)
+                else "an intracavity photon number")
+        raise ValueError(f"--peak-power {args.peak_power!r} gives {what} "
+                         "beyond the float range")
     clicks = pulsed.simulate_clicks(device, train, chain, kernel, n_c,
                                     seed=args.seed, workers=args.workers)
-    table.write_table(pulsed.click_columns(clicks), args.out, args.format)
-    return 0
+    return pulsed.click_columns(clicks), None
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> tuple:
     from . import pulsed
 
     core._check("pulses", args.pulses, ge=1)
@@ -290,15 +291,14 @@ def _cmd_estimate(args) -> int:
         clicks.check_within(args.pulses)
     chain = pulsed.DetectionChain(dark_rate=args.dark_rate,
                                   window=args.window_ns * 1e-9)
-    try:
-        result = pulsed.estimate_occupancy(blue, red, args.pulses, chain)
+    try:  # the files are checked: pass their counts, not a second scan
+        result = pulsed.estimate_occupancy(len(blue), len(red), args.pulses, chain)
     except ValueError as exc:
         raise RuntimeError(str(exc)) from exc
-    table.write_json(dataclasses.asdict(result), args.out)
-    return 0
+    return dataclasses.asdict(result), None
 
 
-def _cmd_histogram(args) -> int:
+def _cmd_histogram(args) -> tuple:
     from . import pulsed
 
     window = args.window_ns * 1e-9
@@ -306,20 +306,17 @@ def _cmd_histogram(args) -> int:
     blue, red = (pulsed.histogram(pulsed.read_clicks_csv(path), bin_width,
                                   args.pulses, window)
                  for path in (args.blue, args.red))
-    columns = pulsed.histogram_columns(blue.bin_start, pulsed.combined_rate(blue),
-                                       pulsed.combined_rate(red))
-    table.write_table(columns, args.out, args.format)
-    return 0
+    return pulsed.histogram_columns(blue.bin_start, pulsed.combined_rate(blue),
+                                    pulsed.combined_rate(red)), None
 
 
-def _cmd_taper(args) -> int:
+def _cmd_taper(args) -> tuple:
     from . import geometry
 
     design = _load_design(args.device)
     core._check("cells", args.cells, ge=1)
     schedule = geometry.generate_schedule(design, n_cells=args.cells)
-    table.write_table(geometry.schedule_columns(schedule), args.out, args.format)
-    return 0
+    return geometry.schedule_columns(schedule), None
 
 
 def _resolve_rates(args, device: core.Device | None):
@@ -333,7 +330,7 @@ def _resolve_rates(args, device: core.Device | None):
     return kappa, gamma0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> tuple:
     from . import fitkit
 
     out: dict = {"fit": args.kind}
@@ -373,11 +370,7 @@ def _cmd_fit(args) -> int:
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown fit kind {args.kind!r}")
     out.update(fitkit.result_to_json(result, angular=angular))
-    table.write_json(out, args.out)
-    if not result.converged:
-        print(f"error: fit did not converge: {result.message}", file=sys.stderr)
-        return 1
-    return 0
+    return out, None if result.converged else f"fit did not converge: {result.message}"
 
 
 # --- parser ------------------------------------------------------------------
@@ -514,7 +507,20 @@ def main(argv=None) -> int:
                    if getattr(args, k) is None]
         if missing:
             raise ValueError(f"missing required flag(s): {', '.join(missing)}")
-        return args._func(args)
+        output, failure = args._func(args)
+        if "format" in args:
+            table.write_table(output, args.out, args.format)
+        elif output is not None:
+            table.write_json(output, args.out)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        if failure is not None:
+            print(f"error: {failure}", file=sys.stderr)
+        return 0 if failure is None else 1
+    except BrokenPipeError:  # the reader has gone: end silently, as a SIGPIPE exit
+        devnull = os.open(os.devnull, os.O_WRONLY)  # takes the flush at interpreter exit
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2

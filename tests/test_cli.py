@@ -233,6 +233,15 @@ class TestPulseCommands:
         assert err == ("error: --peak-power 1e+300 gives an intracavity photon number "
                        "beyond the float range\n")
 
+    @pytest.mark.parametrize("power", ["1e290", "1e288"])
+    def test_peak_power_overflowing_the_scattering_probability_names_the_flag(self, power):
+        """n_c is finite but 4 g0^2 n_c is not: one line, and no regime warning
+        before it."""
+        proc = fresh_omx("pulse-sim", "--pulses", "10", "--peak-power", power)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: --peak-power {float(power)!r} gives a scattering "
+                               "probability beyond the float range\n")
+
     def test_seed_default_is_zero(self, capsys, tmp_path):
         p1, p2 = tmp_path / "default.csv", tmp_path / "explicit.csv"
         assert self.simulate(capsys, p1)[0] == 0
@@ -285,6 +294,23 @@ class TestPulseCommands:
         assert (code, out) == (1, "")
         assert err.startswith("error: non-finite result") and err.count("\n") == 1
         assert not out_path.exists()
+
+    def test_estimate_checks_each_file_once(self, capsys, monkeypatch):
+        golden = Path(__file__).parent / "golden"
+        checked, original = [], pulsed.ClickStream.check_within
+
+        def check_within(clicks, *args):
+            checked.append(len(clicks))
+            return original(clicks, *args)
+
+        monkeypatch.setattr(pulsed.ClickStream, "check_within", check_within)
+        code, out, _ = run(capsys, "estimate", "--blue", str(golden / "pulse_sim_blue.csv"),
+                           "--red", str(golden / "pulse_sim_red.csv"),
+                           "--pulses", "131171", "--dark-rate", "500")
+        assert code == 0
+        assert out == (golden / "estimate.json").read_text()
+        result = json.loads(out)
+        assert checked == [result["counts_blue"], result["counts_red"]]
 
     def test_estimate_requires_flags(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--blue", "x.csv")
@@ -392,12 +418,38 @@ def test_non_finite_grid_flag_is_a_usage_error(capsys, argv, text):
     assert err.count("\n") == 1
 
 
-def fresh_omx(*argv):
-    """``omx argv`` in a new interpreter, with Python's default warning filters."""
+def fresh_env() -> dict:
+    """The environment of a new ``omx`` interpreter: this tree's ``src``, and
+    Python's default warning filters and stdout buffering."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("PYTHONWARNINGS", None)
-    return subprocess.run([sys.executable, "-m", "omx", *argv], env=env,
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def fresh_omx(*argv):
+    """``omx argv`` in a new interpreter."""
+    return subprocess.run([sys.executable, "-m", "omx", *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["omit-map", "--nc", "100"], 1),  # ~400 KB outgrow the pipe: a write fails
+    (["device", "show", "A"], 0),  # a few buffered lines: the flush fails
+])
+def test_closed_stdout_pipe_exits_141_silently(argv, lines):
+    """``omx ... | head -1``: once the reader has gone, exit 128 + SIGPIPE with
+    nothing on stderr, not even an 'Exception ignored' line at shutdown."""
+    with subprocess.Popen([sys.executable, "-m", "omx", *argv], env=fresh_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            read = [proc.stdout.readline() for _ in range(lines)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()  # a no-op once it has exited
+    assert all(read) and (code, err) == (141, b"")
 
 
 @pytest.mark.parametrize("argv", [
@@ -686,6 +738,26 @@ class TestFitCommand:
                              "--branch", "red")
         assert (code, out) == (1, "")
         assert err.startswith("error: overflow") and err.count("\n") == 1
+
+    def test_fit_that_does_not_converge_writes_its_result_then_exits_1(self, capsys,
+                                                                          tmp_path):
+        """fit fano on a noisy Lorentzian line runs to the iteration cap: the
+        payload says so, the same bytes go to stdout and to --out, then one
+        error line."""
+        from omx import fitkit, table
+
+        rng = np.random.default_rng(0)
+        freq = np.linspace(0.9e9, 1.1e9, 201)
+        value = fitkit.lorentzian(freq, 1e9, 20e6, 1.0, 0.05) + rng.normal(0.0, 0.02, 201)
+        trace, out_path = tmp_path / "noisy.csv", tmp_path / "fano.json"
+        table.write_table({"freq_hz": freq, "value": value}, trace)
+        code, out, err = run(capsys, "fit", "fano", "--in", str(trace))
+        assert code == 1
+        assert err.startswith("error: fit did not converge: ") and err.count("\n") == 1
+        assert json.loads(out)["converged"] is False
+        assert run(capsys, "fit", "fano", "--in", str(trace), "--out", str(out_path)) == (
+            1, "", err)
+        assert out_path.read_bytes() == out.encode()
 
     def test_singular_linalg_is_a_numeric_failure(self, capsys, tmp_path, monkeypatch):
         from omx import fitkit

@@ -61,7 +61,7 @@ def test_stdout_matches_golden(capsys, name, argv):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["pulse_sim_blue.csv", "pulse_sim_blue.json", "omit_map.json"])
+@pytest.mark.parametrize("name", [name for name, argv in CASES if argv[0] != "device"])
 def test_out_file_matches_golden(capsys, tmp_path, name):
     argv = dict(CASES)[name]
     path = tmp_path / name
