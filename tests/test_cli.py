@@ -436,7 +436,7 @@ def fresh_omx(*argv):
 @pytest.mark.parametrize("argv,lines", [
     (["omit-map", "--nc", "100"], 1),  # ~400 KB outgrow the pipe: a write fails
     (["device", "show", "A"], 0),  # a few buffered lines: the flush fails
-])
+], ids=["omit-map", "device"])
 def test_closed_stdout_pipe_exits_141_silently(argv, lines):
     """``omx ... | head -1``: once the reader has gone, exit 128 + SIGPIPE with
     nothing on stderr, not even an 'Exception ignored' line at shutdown."""
