@@ -6,18 +6,28 @@ floats round-trip exactly), ``true``/``false`` or the string itself. It is
 read back by numpy's C parser in one call; ``csv`` scans a file again only to
 name the line of a fault. JSON is one indented object mapping each name to its
 column as a list, written from the same cells (a string is JSON-quoted); its
-bytes are those of ``json.dumps(..., indent=2)``. Each file layout lives next
-to its type (``pulsed.click_columns``, ``spectra.trace_columns``, ...).
+bytes are those of ``json.dumps(..., indent=2)``. A large table is encoded on
+up to one process per CPU this process may use, and its bytes do not depend on
+how many. Each file layout lives next to its type (``pulsed.click_columns``,
+``spectra.trace_columns``, ...).
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
+import pickle
+import shutil
+import signal
 import sys
+import tempfile
+import threading
 import warnings
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -25,17 +35,35 @@ __all__ = ["CHUNK_ROWS", "format_cell", "write_table", "write_json", "read_table
 
 CHUNK_ROWS = 16384
 
+# Each float cell is one repr call, 0.5-0.8 us on a shared 2-vCPU x86 VM, so
+# a table's float cells measure its encoding work. There a forked encoder adds
+# 8-13 ms of CPU in a process holding an omit-map 401x2001 table: 3.5 ms for
+# the fork and exit alone, the rest copy-on-write faults. That is the repr of
+# 15-25k cells, so a process is added only per this many float cells, where
+# the fork costs at most a fifth of the work it takes over. The 85k-cell click
+# file of a dense pulse-sim run stays on one process.
+_CELLS_PER_PROCESS = 100_000
 
-def _cells(values: np.ndarray) -> list:
+
+def _repeats(values: np.ndarray) -> bool:
+    """Whether fewer than half of the first ``CHUNK_ROWS`` values of a float64
+    column are distinct (a grid axis); the bit pattern keeps -0.0 apart from
+    0.0. Sorting, not ``np.unique``, which would import ``numpy.ma``."""
+    if values.dtype != np.float64:
+        return False
+    bits = np.sort(values[:CHUNK_ROWS].view(np.int64))
+    return 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) < bits.size
+
+
+def _cells(values: np.ndarray, repeats: bool | None = None) -> list:
+    """The cells of a 1-d column. A float64 column that repeats formats each
+    distinct value once; ``repeats`` says whether it does (None: test it)."""
     kind = values.dtype.kind
     if kind == "f":
-        if values.itemsize == 8:
-            # a column that repeats (a grid axis) formats each distinct value
-            # once; the bit pattern keeps -0.0 apart from 0.0
+        if _repeats(values) if repeats is None else repeats:
             bits, index = np.unique(values.view(np.int64), return_inverse=True)
-            if 2 * bits.size < values.size:
-                distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), object)
-                return distinct[index].tolist()
+            distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), object)
+            return distinct[index].tolist()
         return list(map(repr, values.tolist()))
     if kind == "b":
         return ["true" if v else "false" for v in values.tolist()]
@@ -66,42 +94,176 @@ def write_json(payload: dict, out=None) -> None:
 
 
 def write_table(columns: dict, out=None, fmt: str = "csv") -> None:
-    """Write equal-length named columns as "csv" or "json" to ``out`` (stdout if None)."""
+    """Write equal-length named columns as "csv" or "json" to ``out`` (stdout if None).
+
+    A large table is encoded by up to one process per CPU this process may
+    use; the bytes are the same for any number.
+    """
     cols = {name: np.asarray(col) for name, col in columns.items()}
     if any(c.ndim != 1 for c in cols.values()) or len({c.size for c in cols.values()}) > 1:
         raise ValueError("table columns must be 1-d and of equal length")
     if fmt == "json":
-        _write_json_columns(cols, out)
-        return
-    n_rows = next(iter(cols.values())).size if cols else 0
+        for name, c in cols.items():
+            if c.dtype.kind == "f" and not np.isfinite(c).all():
+                raise ArithmeticError(f"non-finite result, not written as JSON "
+                                      f"(column {name!r} has a non-finite value)")
+    # json writes a finite float with float.__repr__ and an int with
+    # int.__repr__, as _cells does, so JSON is written from the same cells;
+    # indent=2 would run json's pure-Python encoder instead
+    encoders = [_json_strings if fmt == "json" and c.dtype.kind not in "biuf"
+                else partial(_cells, repeats=_repeats(c)) for c in cols.values()]
+    pieces = (_json_pieces if fmt == "json" else _csv_pieces)(cols, encoders)
     with _open(out) as fh:
-        fh.write(",".join(cols) + "\n")
-        for start in range(0, n_rows, CHUNK_ROWS):
-            cells = [_cells(c[start:start + CHUNK_ROWS]) for c in cols.values()]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        _emit(pieces, fh)
 
 
-def _write_json_columns(cols: dict, out) -> None:
-    # json writes a finite float with float.__repr__ and an int with int.__repr__,
-    # as _cells does; indent=2 would run json's pure-Python encoder instead
-    for name, c in cols.items():
-        if c.dtype.kind == "f" and not np.isfinite(c).all():
-            raise ArithmeticError(f"non-finite result, not written as JSON "
-                                  f"(column {name!r} has a non-finite value)")
-    with _open(out) as fh:
-        fh.write("{")
-        for k, (name, c) in enumerate(cols.items()):
-            fh.write(("," if k else "") + "\n  " + json.dumps(name) + ": [")
-            cells = _cells if c.dtype.kind in "biuf" else _json_strings
-            for start in range(0, c.size, CHUNK_ROWS):
-                fh.write(("," if start else "") + "\n    "
-                         + ",\n    ".join(cells(c[start:start + CHUNK_ROWS])))
-            fh.write("\n  ]" if c.size else "]")
-        fh.write("\n}\n" if cols else "}\n")
+# A table is written as an ordered list of pieces: (float cells, text), where
+# the text is a str or a function that encodes it.
+
+
+def _csv_pieces(cols: dict, encoders: list) -> list:
+    columns = list(cols.values())
+    n_rows = columns[0].size if columns else 0
+    floats = sum(c.dtype.kind == "f" for c in columns)
+    return [(0, ",".join(cols) + "\n")] + [
+        (min(CHUNK_ROWS, n_rows - start) * floats,
+         partial(_csv_chunk, columns, encoders, start))
+        for start in range(0, n_rows, CHUNK_ROWS)]
+
+
+def _csv_chunk(columns: list, encoders: list, start: int) -> str:
+    cells = [cells(c[start:start + CHUNK_ROWS]) for c, cells in zip(columns, encoders)]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _json_pieces(cols: dict, encoders: list) -> list:
+    pieces = [(0, "{")]
+    for k, ((name, c), cells) in enumerate(zip(cols.items(), encoders)):
+        pieces.append((0, ("," if k else "") + "\n  " + json.dumps(name) + ": ["))
+        pieces += [(min(CHUNK_ROWS, c.size - start) * (c.dtype.kind == "f"),
+                    partial(_json_chunk, c, cells, start))
+                   for start in range(0, c.size, CHUNK_ROWS)]
+        pieces.append((0, "\n  ]" if c.size else "]"))
+    return pieces + [(0, "\n}\n" if cols else "}\n")]
+
+
+def _json_chunk(column: np.ndarray, cells, start: int) -> str:
+    return (("," if start else "") + "\n    "
+            + ",\n    ".join(cells(column[start:start + CHUNK_ROWS])))
 
 
 def _json_strings(values: np.ndarray) -> list:
     return list(map(json.dumps, values.tolist()))
+
+
+def _emit(pieces: list, fh) -> None:
+    """Write the text of ``pieces`` to ``fh`` in order. Split into contiguous
+    parts of about equal float cells, one per process: this process writes
+    the first part to ``fh`` while a forked child encodes each later part into
+    an unnamed temporary file, which is then appended in order. No child
+    outlives the call, whatever it raises."""
+    parts = _parts(pieces, _processes(sum(cells for cells, _ in pieces), fh))
+    files, pids, reaped = [], [], 0
+    try:
+        for part in parts[1:]:
+            files.append(tempfile.TemporaryFile())
+            pids.append(_fork(part, files[-1], fh))
+        _write(parts[0], fh)
+        fh.flush()
+        for pid, tmp in zip(pids, files):
+            status = os.waitpid(pid, 0)[1]
+            reaped += 1
+            if status:
+                raise _child_error(tmp, status)
+            _append(tmp, fh)
+    finally:
+        for pid in pids[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for tmp in files:
+            tmp.close()
+
+
+def _processes(cells: int, fh) -> int:
+    """One process per ``_CELLS_PER_PROCESS`` float cells, up to the CPUs this
+    process may use; one where that is unknown (no ``sched_getaffinity``), where
+    a fork is unsafe (another thread runs) or where ``fh`` has no descriptor."""
+    if (cells < 2 * _CELLS_PER_PROCESS or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    try:
+        fh.fileno()
+    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation
+        return 1
+    return min(len(os.sched_getaffinity(0)), cells // _CELLS_PER_PROCESS)
+
+
+def _parts(pieces: list, n: int) -> list:
+    """``pieces`` in at most ``n`` contiguous lists, each cut at the piece
+    boundary nearest an equal share of the float cells."""
+    share = sum(cells for cells, _ in pieces) / n
+    parts, done = [[]], 0
+    for cells, text in pieces:
+        if cells and len(parts) < n and done + cells / 2 > len(parts) * share:
+            parts.append([])
+        parts[-1].append((cells, text))
+        done += cells
+    return parts
+
+
+def _write(part: list, fh) -> None:
+    for _, text in part:
+        fh.write(text if isinstance(text, str) else text())
+
+
+def _fork(part: list, tmp, fh) -> int:
+    """Fork a child that writes ``part`` to ``tmp`` in ``fh``'s encoding. A
+    forked child reads the columns in place, where a spawned one would import
+    numpy and receive a copy. Whatever it raises, the child leaves with
+    ``os._exit``: it never returns into its parent's code, runs no exit handler
+    and flushes nothing of its parent's. On a failure it leaves the pickled
+    exception in ``tmp`` and exits 1."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            with open(tmp.fileno(), "w", encoding=fh.encoding, errors=fh.errors,
+                      newline="", closefd=False) as text:
+                _write(part, text)
+            status = 0
+        except BaseException as exc:
+            os.ftruncate(tmp.fileno(), 0)
+            os.pwrite(tmp.fileno(), pickle.dumps(exc), 0)
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _child_error(tmp, status: int) -> BaseException:
+    """The exception a child that exited 1 left in ``tmp``, else a RuntimeError."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 1:
+        try:
+            tmp.seek(0)
+            return pickle.load(tmp)
+        except Exception:
+            pass
+    return RuntimeError(f"a table encoding process ended with exit code {code}")
+
+
+def _append(tmp, fh) -> None:
+    """Copy the bytes of ``tmp`` to the end of ``fh`` (flushed), in the kernel
+    where it can: ``sendfile`` refuses a file opened to append (EINVAL)."""
+    sent = 0
+    try:
+        while n := os.sendfile(fh.fileno(), tmp.fileno(), sent, 1 << 30):
+            sent += n
+    except OSError as exc:
+        if exc.errno not in (errno.EINVAL, errno.ENOSYS):
+            raise
+        tmp.seek(sent)
+        shutil.copyfileobj(tmp, fh.buffer)
+        fh.flush()
 
 
 def read_table(path, header=None, types=None) -> dict:

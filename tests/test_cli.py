@@ -436,19 +436,25 @@ def fresh_omx(*argv):
 @pytest.mark.parametrize("argv,lines", [
     (["omit-map", "--nc", "100"], 1),  # ~400 KB outgrow the pipe: a write fails
     (["device", "show", "A"], 0),  # a few buffered lines: the flush fails
-], ids=["omit-map", "device"])
+    # 802k rows: encoded by a process per CPU, whose children are stopped
+    (["omit-map", "--nc", "3000", "--detuning-points", "401", "--points", "2001"], 1),
+], ids=["omit-map", "device", "omit-map-large"])
 def test_closed_stdout_pipe_exits_141_silently(argv, lines):
     """``omx ... | head -1``: once the reader has gone, exit 128 + SIGPIPE with
-    nothing on stderr, not even an 'Exception ignored' line at shutdown."""
+    nothing on stderr, not even an 'Exception ignored' line at shutdown, and
+    no process of its group left behind."""
     with subprocess.Popen([sys.executable, "-m", "omx", *argv], env=fresh_env(),
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as proc:
         try:
             read = [proc.stdout.readline() for _ in range(lines)]
             proc.stdout.close()
-            err = proc.stderr.read()
             code = proc.wait(timeout=60)
+            err = proc.stderr.read()
         finally:
             proc.kill()  # a no-op once it has exited
+    with pytest.raises(ProcessLookupError):  # no orphan in its process group
+        os.killpg(proc.pid, 0)
     assert all(read) and (code, err) == (141, b"")
 
 

@@ -20,8 +20,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports the modules named after the JSON argument, then ``omx``, then runs the
 # commands given as a JSON list of argv lists, in one fresh interpreter; prints
-# the exit codes, what was loaded on the way, the OS threads left at the end
-# (Linux only) and the environment variables that changed.
+# the exit codes, what was loaded on the way (``numpy.ma`` among it), the OS
+# threads left at the end (Linux only) and the environment variables that
+# changed.
 SCRIPT = """
 import importlib, json, os, sys, time
 environ = dict(os.environ)
@@ -44,6 +45,7 @@ changed = {k: os.environ.get(k) for k in environ.keys() | os.environ.keys()
            if os.environ.get(k) != environ.get(k)}
 print(json.dumps({"import_omx": after_import, "codes": codes, "omx": loaded("omx"),
                   "scipy": loaded("scipy"), "futures": "concurrent.futures" in sys.modules,
+                  "numpy_ma": "numpy.ma" in sys.modules,
                   "threads": threads, "environ_changed": changed}))
 """
 
@@ -74,6 +76,17 @@ def trace(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def clicks(tmp_path):
+    """The paths of a blue and a red click file of 100 pulses, by label."""
+    paths = {}
+    for label, rows in (("blue", "0,12.5,blue\n3,40.0,dark\n7,21.0,blue\n"),
+                        ("red", "2,30.5,red\n9,8.0,red\n")):
+        paths[label] = tmp_path / f"{label}.csv"
+        paths[label].write_text("pulse_index,t_ns,label\n" + rows)
+    return {label: str(path) for label, path in paths.items()}
+
+
 def test_cli_commands_never_import_scipy(trace):
     result = fresh(
         ["device", "list"],
@@ -99,12 +112,19 @@ def test_import_omx_loads_no_submodule():
     (["pulse-sim", "--pulses", "70000", "--workers", "2"], ["omx.pulsed"], True),  # 2 blocks
     (["taper", "--cells", "17"], ["omx.geometry"], False),
     (["fit", "lorentzian", "--in", "{trace}"], ["omx.fitkit", "omx.spectra"], False),
-], ids=["device", "cool-curve", "omit", "pulse-sim", "pulse-sim-pooled", "taper", "fit"])
-def test_each_command_loads_only_what_it_runs(trace, argv, extra, futures):
-    result = fresh([arg.format(trace=trace) for arg in argv])
+    (["histogram", "--blue", "{blue}", "--red", "{red}", "--pulses", "100"],
+     ["omx.pulsed"], False),
+    (["estimate", "--blue", "{blue}", "--red", "{red}", "--pulses", "100"],
+     ["omx.pulsed"], False),
+], ids=["device", "cool-curve", "omit", "pulse-sim", "pulse-sim-pooled", "taper", "fit",
+        "histogram", "estimate"])
+def test_each_command_loads_only_what_it_runs(trace, clicks, argv, extra, futures):
+    result = fresh([arg.format(trace=trace, **clicks) for arg in argv])
     assert result["codes"] == [0]
     assert result["omx"] == sorted(CLI_MODULES + extra)
     assert result["futures"] is futures  # the thread pool only for a pooled run
+    if argv[0] != "fit":  # np.median in fitkit loads numpy.ma
+        assert not result["numpy_ma"]  # as np.unique does without index outputs
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

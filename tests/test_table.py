@@ -3,7 +3,10 @@ the arrays and errors it reads back."""
 
 import json
 import math
+import os
 import re
+import signal
+import threading
 import warnings
 
 import numpy as np
@@ -32,9 +35,14 @@ def assert_same_text(got: str, want: str) -> None:
                     f"({len(got)} vs {len(want)} characters)")
 
 
+def naive_cells(column) -> list:
+    kind = np.asarray(column).dtype.kind
+    return (reprs(column) if kind == "f" else ["true" if v else "false" for v in column]
+            if kind == "b" else list(map(str, column)))
+
+
 def naive_csv(columns: dict) -> str:
-    rows = zip(*(reprs(c) if np.asarray(c).dtype.kind == "f" else map(str, c)
-                 for c in columns.values()))
+    rows = zip(*map(naive_cells, columns.values()))
     return "".join(",".join(row) + "\n" for row in [list(columns), *rows])
 
 
@@ -63,6 +71,10 @@ class TestCells:
     def test_strided_column(self):
         values = np.arange(4000) % 7 * (1.0 + 1j) / 3.0
         assert table._cells(values.real) == reprs(values.real)
+
+    def test_big_endian_column(self):
+        column = np.repeat([0.1, -0.0, 7.5], 3000).astype(">f8")
+        assert table._cells(column) == reprs(column)
 
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 1e308, -2.5e-310, math.nan, math.inf]),
                     min_size=1, max_size=300))
@@ -117,6 +129,116 @@ class TestJson:
             table.write_table({"ok": np.arange(3), "x": np.array([1.0, bad, 2.0])},
                               path, "json")
         assert not path.exists()
+
+
+def wide_table() -> dict:
+    """A table of 8 chunks and a bit: int, float, bool and label columns, the
+    floats repeating, distinct and at the edges of their formatting."""
+    n = 8 * table.CHUNK_ROWS + 123
+    index = np.arange(n) - n // 2
+    edges = np.tile([-0.0, 0.0, 5e-324, -2.5e-310, 1e16, 1e-5, 1e22, 2.0 / 3.0], n // 8 + 1)
+    fine = np.random.default_rng(7).standard_normal(n) * 1e3
+    fine[::997] = edges[:fine[::997].size]
+    return {"index": index, "grid_hz": np.repeat(np.linspace(-1e10, 5e9, 9), n // 9 + 1)[:n],
+            "edge": edges[:n], "fine": fine, "ok": index % 3 == 0,
+            "label": np.array(LABELS)[index % 3]}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="a table is split only where the CPUs a process may use are known")
+class TestProcesses:
+    """A large table is encoded on up to one process per CPU it may use; its
+    bytes do not depend on how many."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The forks made, with four CPUs and a process per 1000 float cells."""
+        made, fork = [], os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(table, "_CELLS_PER_PROCESS", 1000)
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+        return made
+
+    @staticmethod
+    def refuse_forks(monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", fork)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_do_not_depend_on_the_process_count(self, tmp_path, monkeypatch, forks, fmt):
+        columns = wide_table()
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+            self.refuse_forks(one_cpu)
+            table.write_table(columns, tmp_path / "one", fmt)
+        table.write_table(columns, tmp_path / "four", fmt)
+        assert len(forks) == 3
+        one, four = (tmp_path / "one").read_text(), (tmp_path / "four").read_text()
+        assert_same_text(four, one)
+        assert_same_text(one, json_bytes(columns) if fmt == "json" else naive_csv(columns))
+
+    def test_file_opened_to_append(self, tmp_path, monkeypatch, forks):
+        """``omx ... >> file``: sendfile refuses such a file, so it is copied."""
+        columns = wide_table()
+        path = tmp_path / "t.csv"
+        path.write_text("before\n")
+        with open(path, "a", newline="") as fh:
+            monkeypatch.setattr("sys.stdout", fh)
+            table.write_table(columns)
+        assert len(forks) == 3
+        assert_same_text(path.read_text(), "before\n" + naive_csv(columns))
+
+    def test_failing_child_raises_one_error_and_leaves_no_child(self, tmp_path, monkeypatch,
+                                                               forks):
+        parent, chunk = os.getpid(), table._csv_chunk
+
+        def fail_in_a_child(*args):
+            if os.getpid() != parent:
+                raise UnicodeError("cannot encode in a child")
+            return chunk(*args)
+        monkeypatch.setattr(table, "_csv_chunk", fail_in_a_child)
+        with pytest.raises(UnicodeError, match="cannot encode in a child"):
+            table.write_table(wide_table(), tmp_path / "t.csv")
+        assert len(forks) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_child_is_a_runtime_error(self, tmp_path, monkeypatch, forks):
+        parent, chunk = os.getpid(), table._csv_chunk
+
+        def die_in_a_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return chunk(*args)
+        monkeypatch.setattr(table, "_csv_chunk", die_in_a_child)
+        with pytest.raises(RuntimeError, match="exit code -9"):
+            table.write_table(wide_table(), tmp_path / "t.csv")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.usefixtures("forks")
+    def test_caller_with_a_second_thread_never_forks(self, tmp_path, monkeypatch):
+        self.refuse_forks(monkeypatch)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            columns = wide_table()
+            table.write_table(columns, tmp_path / "t.csv")
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
+
+    def test_small_table_never_forks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        self.refuse_forks(monkeypatch)
+        columns = {"t_ns": np.linspace(0.0, 1.0, 2 * table._CELLS_PER_PROCESS - 1)}
+        for fmt in ("csv", "json"):
+            table.write_table(columns, tmp_path / fmt, fmt)
+        assert_same_text((tmp_path / "csv").read_text(), naive_csv(columns))
 
 
 CLICKS = "pulse_index,t_ns,label\n"
