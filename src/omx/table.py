@@ -15,11 +15,9 @@ how many. Each file layout lives next to its type (``pulsed.click_columns``,
 from __future__ import annotations
 
 import csv
-import errno
 import json
 import math
 import os
-import pickle
 import shutil
 import signal
 import sys
@@ -55,12 +53,12 @@ def _repeats(values: np.ndarray) -> bool:
     return 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) < bits.size
 
 
-def _cells(values: np.ndarray, repeats: bool | None = None) -> list:
-    """The cells of a 1-d column. A float64 column that repeats formats each
-    distinct value once; ``repeats`` says whether it does (None: test it)."""
+def _cells(values: np.ndarray, repeats: bool) -> list:
+    """The cells of a 1-d column. Where ``repeats`` (``_repeats`` of the
+    column), each distinct float is formatted once."""
     kind = values.dtype.kind
     if kind == "f":
-        if _repeats(values) if repeats is None else repeats:
+        if repeats:
             bits, index = np.unique(values.view(np.int64), return_inverse=True)
             distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), object)
             return distinct[index].tolist()
@@ -72,7 +70,7 @@ def _cells(values: np.ndarray, repeats: bool | None = None) -> list:
 
 def format_cell(value) -> str:
     """One scalar as a table cell."""
-    return _cells(np.asarray([value]))[0]
+    return _cells(np.asarray([value]), False)[0]
 
 
 def _open(out):
@@ -160,40 +158,43 @@ def _emit(pieces: list, fh) -> None:
     """Write the text of ``pieces`` to ``fh`` in order. Split into contiguous
     parts of about equal float cells, one per process: this process writes
     the first part to ``fh`` while a forked child encodes each later part into
-    an unnamed temporary file, which is then appended in order. No child
-    outlives the call, whatever it raises."""
+    an unnamed temporary file, whose bytes are then appended in order. A part
+    whose child could not be started or did not exit 0 is encoded here
+    instead, so a fault in the encoding is raised here and a full temporary
+    directory costs time, not the output. No child outlives the call,
+    whatever it raises."""
     parts = _parts(pieces, _processes(sum(cells for cells, _ in pieces), fh))
-    files, pids, reaped = [], [], 0
+    children, reaped = [], 0
     try:
         for part in parts[1:]:
-            files.append(tempfile.TemporaryFile())
-            pids.append(_fork(part, files[-1], fh))
+            children.append(_fork(part, fh))
         _write(parts[0], fh)
-        fh.flush()
-        for pid, tmp in zip(pids, files):
-            status = os.waitpid(pid, 0)[1]
+        for part, (pid, tmp) in zip(parts[1:], children):
+            status = os.waitpid(pid, 0)[1] if pid else 1
             reaped += 1
             if status:
-                raise _child_error(tmp, status)
-            _append(tmp, fh)
+                _write(part, fh)
+            else:
+                fh.flush()
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh.buffer)
     finally:
-        for pid in pids[reaped:]:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for tmp in files:
-            tmp.close()
+        for pid, _ in children[reaped:]:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for _, tmp in children:
+            if tmp:
+                tmp.close()
 
 
 def _processes(cells: int, fh) -> int:
     """One process per ``_CELLS_PER_PROCESS`` float cells, up to the CPUs this
     process may use; one where that is unknown (no ``sched_getaffinity``), where
-    a fork is unsafe (another thread runs) or where ``fh`` has no descriptor."""
+    another Python thread runs (threads of native libraries are not seen) or
+    where ``fh`` has no byte buffer to append to."""
     if (cells < 2 * _CELLS_PER_PROCESS or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    try:
-        fh.fileno()
-    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation
+            or threading.active_count() > 1 or not hasattr(fh, "buffer")):
         return 1
     return min(len(os.sched_getaffinity(0)), cells // _CELLS_PER_PROCESS)
 
@@ -216,14 +217,22 @@ def _write(part: list, fh) -> None:
         fh.write(text if isinstance(text, str) else text())
 
 
-def _fork(part: list, tmp, fh) -> int:
-    """Fork a child that writes ``part`` to ``tmp`` in ``fh``'s encoding. A
-    forked child reads the columns in place, where a spawned one would import
-    numpy and receive a copy. Whatever it raises, the child leaves with
-    ``os._exit``: it never returns into its parent's code, runs no exit handler
-    and flushes nothing of its parent's. On a failure it leaves the pickled
-    exception in ``tmp`` and exits 1."""
-    pid = os.fork()
+def _fork(part: list, fh) -> tuple:
+    """(pid, file) of a forked child that writes ``part`` to an unnamed
+    temporary file in ``fh``'s encoding; (0, None) where no such file or no
+    process can be made. A forked child reads the columns in place, where a
+    spawned one would import numpy and receive a copy. Whatever it raises, the
+    child leaves with ``os._exit``, with status 0 only once ``part`` is
+    written: it never returns into its parent's code, runs no exit handler,
+    prints no traceback and flushes nothing of its parent's."""
+    tmp = None
+    try:
+        tmp = tempfile.TemporaryFile()
+        pid = os.fork()
+    except OSError:
+        if tmp:
+            tmp.close()
+        return 0, None
     if pid == 0:
         status = 1
         try:
@@ -231,39 +240,9 @@ def _fork(part: list, tmp, fh) -> int:
                       newline="", closefd=False) as text:
                 _write(part, text)
             status = 0
-        except BaseException as exc:
-            os.ftruncate(tmp.fileno(), 0)
-            os.pwrite(tmp.fileno(), pickle.dumps(exc), 0)
         finally:
             os._exit(status)
-    return pid
-
-
-def _child_error(tmp, status: int) -> BaseException:
-    """The exception a child that exited 1 left in ``tmp``, else a RuntimeError."""
-    code = os.waitstatus_to_exitcode(status)
-    if code == 1:
-        try:
-            tmp.seek(0)
-            return pickle.load(tmp)
-        except Exception:
-            pass
-    return RuntimeError(f"a table encoding process ended with exit code {code}")
-
-
-def _append(tmp, fh) -> None:
-    """Copy the bytes of ``tmp`` to the end of ``fh`` (flushed), in the kernel
-    where it can: ``sendfile`` refuses a file opened to append (EINVAL)."""
-    sent = 0
-    try:
-        while n := os.sendfile(fh.fileno(), tmp.fileno(), sent, 1 << 30):
-            sent += n
-    except OSError as exc:
-        if exc.errno not in (errno.EINVAL, errno.ENOSYS):
-            raise
-        tmp.seek(sent)
-        shutil.copyfileobj(tmp, fh.buffer)
-        fh.flush()
+    return pid, tmp
 
 
 def read_table(path, header=None, types=None) -> dict:

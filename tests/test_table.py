@@ -46,40 +46,47 @@ def naive_csv(columns: dict) -> str:
     return "".join(",".join(row) + "\n" for row in [list(columns), *rows])
 
 
+def cells(column) -> list:
+    """The cells write_table gives a column."""
+    return table._cells(column, table._repeats(column))
+
+
 class TestCells:
     """Every float cell is repr(float), whichever path formats it."""
 
     def test_repeated_column(self):
         column = np.repeat([0.1, 2.0 / 3.0, 1e-300, 7.436e9, -5.5], 3000)
-        assert table._cells(column) == reprs(column)
+        assert table._repeats(column)
+        assert cells(column) == reprs(column)
 
     def test_negative_zero_stays_apart_from_zero(self):
         column = np.tile([-0.0, 0.0, 1.0], 1000)
-        cells = table._cells(column)
-        assert cells[:3] == ["-0.0", "0.0", "1.0"]
-        assert cells == reprs(column)
+        got = cells(column)
+        assert got[:3] == ["-0.0", "0.0", "1.0"]
+        assert got == reprs(column)
 
     def test_nan_cells(self):
         column = np.concatenate([np.full(999, np.nan), -np.full(999, np.nan), [1.5]])
-        assert table._cells(column) == ["nan"] * 1998 + ["1.5"]
-        assert table._cells(np.array([np.nan, 0.25, -np.inf])) == ["nan", "0.25", "-inf"]
+        assert cells(column) == ["nan"] * 1998 + ["1.5"]
+        assert cells(np.array([np.nan, 0.25, -np.inf])) == ["nan", "0.25", "-inf"]
 
     def test_distinct_column(self):
         column = np.geomspace(0.01, 1e4, 5000)
-        assert table._cells(column) == reprs(column)
+        assert not table._repeats(column)
+        assert cells(column) == reprs(column)
 
     def test_strided_column(self):
         values = np.arange(4000) % 7 * (1.0 + 1j) / 3.0
-        assert table._cells(values.real) == reprs(values.real)
+        assert cells(values.real) == reprs(values.real)
 
     def test_big_endian_column(self):
         column = np.repeat([0.1, -0.0, 7.5], 3000).astype(">f8")
-        assert table._cells(column) == reprs(column)
+        assert cells(column) == reprs(column)
 
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 1e308, -2.5e-310, math.nan, math.inf]),
                     min_size=1, max_size=300))
     def test_any_mix(self, values):
-        assert table._cells(np.array(values)) == reprs(values)
+        assert cells(np.array(values)) == reprs(values)
 
 
 class TestCsv:
@@ -178,8 +185,17 @@ class TestProcesses:
         assert_same_text(four, one)
         assert_same_text(one, json_bytes(columns) if fmt == "json" else naive_csv(columns))
 
+    def test_json_part_that_opens_a_column(self, tmp_path, forks):
+        """The text before a cut, here the name of the next column, is written
+        before the bytes of the part after it."""
+        columns = {"a": np.linspace(0.0, 1.0, table.CHUNK_ROWS),
+                   "b": np.linspace(1.0, 2.0, table.CHUNK_ROWS)}
+        table.write_table(columns, tmp_path / "t.json", "json")
+        assert len(forks) == 1
+        assert_same_text((tmp_path / "t.json").read_text(), json_bytes(columns))
+
     def test_file_opened_to_append(self, tmp_path, monkeypatch, forks):
-        """``omx ... >> file``: sendfile refuses such a file, so it is copied."""
+        """``omx ... >> file``: the table follows what the file held."""
         columns = wide_table()
         path = tmp_path / "t.csv"
         path.write_text("before\n")
@@ -189,33 +205,50 @@ class TestProcesses:
         assert len(forks) == 3
         assert_same_text(path.read_text(), "before\n" + naive_csv(columns))
 
-    def test_failing_child_raises_one_error_and_leaves_no_child(self, tmp_path, monkeypatch,
-                                                               forks):
+    def test_encoding_fault_is_raised_once_and_leaves_no_child(self, tmp_path, monkeypatch,
+                                                               capfd, forks):
+        chunk = table._csv_chunk
+
+        def fail_late(columns, encoders, start):
+            if start >= 4 * table.CHUNK_ROWS:
+                raise UnicodeError("cannot encode")
+            return chunk(columns, encoders, start)
+        monkeypatch.setattr(table, "_csv_chunk", fail_late)
+        with pytest.raises(UnicodeError, match="cannot encode"):
+            table.write_table(wide_table(), tmp_path / "t.csv")
+        assert len(forks) == 3
+        assert capfd.readouterr().err == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failure", ["raises", "is killed"])
+    def test_part_of_a_failed_child_is_encoded_here(self, tmp_path, monkeypatch, capfd, forks,
+                                                    failure):
         parent, chunk = os.getpid(), table._csv_chunk
 
         def fail_in_a_child(*args):
             if os.getpid() != parent:
-                raise UnicodeError("cannot encode in a child")
-            return chunk(*args)
-        monkeypatch.setattr(table, "_csv_chunk", fail_in_a_child)
-        with pytest.raises(UnicodeError, match="cannot encode in a child"):
-            table.write_table(wide_table(), tmp_path / "t.csv")
-        assert len(forks) == 3
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_killed_child_is_a_runtime_error(self, tmp_path, monkeypatch, forks):
-        parent, chunk = os.getpid(), table._csv_chunk
-
-        def die_in_a_child(*args):
-            if os.getpid() != parent:
+                if failure == "raises":
+                    raise OSError(28, "No space left on device")
                 os.kill(os.getpid(), signal.SIGKILL)
             return chunk(*args)
-        monkeypatch.setattr(table, "_csv_chunk", die_in_a_child)
-        with pytest.raises(RuntimeError, match="exit code -9"):
-            table.write_table(wide_table(), tmp_path / "t.csv")
+        monkeypatch.setattr(table, "_csv_chunk", fail_in_a_child)
+        columns = wide_table()
+        table.write_table(columns, tmp_path / "t.csv")
+        assert len(forks) == 3
+        assert capfd.readouterr().err == ""
+        assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_no_temporary_directory_keeps_one_process(self, tmp_path, monkeypatch, forks):
+        def no_directory():
+            raise FileNotFoundError("No usable temporary directory found")
+        monkeypatch.setattr(table.tempfile, "TemporaryFile", no_directory)
+        columns = wide_table()
+        table.write_table(columns, tmp_path / "t.csv")
+        assert forks == []
+        assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
 
     @pytest.mark.usefixtures("forks")
     def test_caller_with_a_second_thread_never_forks(self, tmp_path, monkeypatch):
