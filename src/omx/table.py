@@ -18,9 +18,7 @@ import csv
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 import threading
 import warnings
 from contextlib import nullcontext
@@ -154,94 +152,33 @@ def _json_strings(values: np.ndarray) -> list:
 
 
 def _emit(pieces: list, fh) -> None:
-    """Write the text of ``pieces`` to ``fh`` in order. Split into contiguous
-    parts of about equal float cells, one per process: this process writes
-    the first part to ``fh`` while a forked child encodes each later part into
-    an unnamed temporary file, whose bytes are then appended in order. A part
-    whose child could not be started or did not exit 0 is encoded here
-    instead, so a fault in the encoding is raised here and a full temporary
-    directory costs time, not the output. No child outlives the call,
-    whatever it raises."""
-    parts = _parts(pieces, _processes(sum(cells for cells, _ in pieces), fh))
-    children, reaped = [], 0
-    try:
-        for part in parts[1:]:
-            children.append(_fork(part, fh))
-        _write(parts[0], fh)
-        for part, (pid, tmp) in zip(parts[1:], children):
-            status = os.waitpid(pid, 0)[1] if pid else 1
-            reaped += 1
-            if status:
-                _write(part, fh)
-            else:
-                fh.flush()
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh.buffer)
-    finally:
-        for pid, _ in children[reaped:]:
-            if pid:
-                os.kill(pid, 9)  # SIGKILL, without making every omx process import signal
-                os.waitpid(pid, 0)
-        for _, tmp in children:
-            if tmp:
-                tmp.close()
+    """Write the text of ``pieces`` to ``fh`` in order, on as many processes
+    as ``_processes`` gives (``omx._parallel``)."""
+    n = _processes(pieces, fh)
+    if n == 1:
+        _write(pieces, fh)
+    else:
+        from . import _parallel
+        _parallel.emit(pieces, fh, n)
 
 
-def _processes(cells: int, fh) -> int:
+def _processes(pieces: list, fh) -> int:
     """One process per ``_CELLS_PER_PROCESS`` float cells, up to the CPUs this
-    process may use; one where that is unknown (no ``sched_getaffinity``), where
-    another Python thread runs (threads of native libraries are not seen) or
-    where ``fh`` has no byte buffer to append to."""
+    process may use and the pieces with float cells; one where that is
+    unknown (no ``sched_getaffinity``), where another Python thread runs
+    (threads of native libraries are not seen) or where ``fh`` has no byte
+    buffer to copy to."""
+    cells = sum(cells for cells, _ in pieces)
     if (cells < 2 * _CELLS_PER_PROCESS or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1 or not hasattr(fh, "buffer")):
         return 1
-    return min(len(os.sched_getaffinity(0)), cells // _CELLS_PER_PROCESS)
-
-
-def _parts(pieces: list, n: int) -> list:
-    """``pieces`` in at most ``n`` contiguous lists, each cut at the piece
-    boundary nearest an equal share of the float cells."""
-    share = sum(cells for cells, _ in pieces) / n
-    parts, done = [[]], 0
-    for cells, text in pieces:
-        if cells and len(parts) < n and done + cells / 2 > len(parts) * share:
-            parts.append([])
-        parts[-1].append((cells, text))
-        done += cells
-    return parts
+    return min(len(os.sched_getaffinity(0)), cells // _CELLS_PER_PROCESS,
+               sum(cells > 0 for cells, _ in pieces))
 
 
 def _write(part: list, fh) -> None:
     for _, text in part:
         fh.write(text if isinstance(text, str) else text())
-
-
-def _fork(part: list, fh) -> tuple:
-    """(pid, file) of a forked child that writes ``part`` to an unnamed
-    temporary file in ``fh``'s encoding; (0, None) where no such file or no
-    process can be made. A forked child reads the columns in place, where a
-    spawned one would import numpy and receive a copy. Whatever it raises, the
-    child leaves with ``os._exit``, with status 0 only once ``part`` is
-    written: it never returns into its parent's code, runs no exit handler,
-    prints no traceback and flushes nothing of its parent's."""
-    tmp = None
-    try:
-        tmp = tempfile.TemporaryFile()
-        pid = os.fork()
-    except OSError:
-        if tmp:
-            tmp.close()
-        return 0, None
-    if pid == 0:
-        status = 1
-        try:
-            with open(tmp.fileno(), "w", encoding=fh.encoding, errors=fh.errors,
-                      newline="", closefd=False) as text:
-                _write(part, text)
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, tmp
 
 
 def read_table(path, header=None, types=None) -> dict:

@@ -51,6 +51,9 @@ print(json.dumps({"import_omx": after_import, "codes": codes, "omx": loaded("omx
 
 # what ``from omx.cli import main`` loads before any command runs
 CLI_MODULES = ["omx", "omx.cli", "omx.constants", "omx.core", "omx.table"]
+# what writing a table large enough to split adds, where it is split
+SPLIT = (["omx._parallel"] if hasattr(os, "sched_getaffinity")
+         and len(os.sched_getaffinity(0)) > 1 else [])
 
 # the thread-count variables OpenBLAS reads, in its order
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -107,6 +110,7 @@ def test_import_omx_loads_no_submodule():
 @pytest.mark.parametrize("argv, extra, futures", [
     (["device", "list"], [], False),
     (["cool-curve", "--points", "20"], [], False),
+    (["cool-curve", "--points", "50000"], SPLIT, False),  # 250k float cells
     (["omit", "--nc", "100", "--points", "51"], ["omx.spectra"], False),
     (["pulse-sim", "--pulses", "2000", "--workers", "1"], ["omx.pulsed"], False),
     (["pulse-sim", "--pulses", "70000", "--workers", "2"], ["omx.pulsed"], True),  # 2 blocks
@@ -116,8 +120,8 @@ def test_import_omx_loads_no_submodule():
      ["omx.pulsed"], False),
     (["estimate", "--blue", "{blue}", "--red", "{red}", "--pulses", "100"],
      ["omx.pulsed"], False),
-], ids=["device", "cool-curve", "omit", "pulse-sim", "pulse-sim-pooled", "taper", "fit",
-        "histogram", "estimate"])
+], ids=["device", "cool-curve", "cool-curve-split", "omit", "pulse-sim", "pulse-sim-pooled",
+        "taper", "fit", "histogram", "estimate"])
 def test_each_command_loads_only_what_it_runs(trace, clicks, argv, extra, futures):
     result = fresh([arg.format(trace=trace, **clicks) for arg in argv])
     assert result["codes"] == [0]

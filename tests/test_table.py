@@ -7,6 +7,7 @@ import os
 import re
 import signal
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from omx import table
+from omx import _parallel, table
 from omx.cli import main
 from omx.pulsed import LABELS
 
@@ -241,10 +242,68 @@ class TestProcesses:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_many_jobs_on_more_processes_than_cpus(self, tmp_path, monkeypatch, forks):
+        """Each of ~400 jobs, taken by one of 8 processes, is written once and
+        in its place; a lost or doubled job changes the bytes, a lost report
+        hangs (bounded by an alarm)."""
+        columns = {name: c[:20_000] for name, c in wide_table().items()}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(table, "CHUNK_ROWS", 50)
+
+        def too_long(signum, frame):
+            raise TimeoutError("write_table did not finish")
+        previous = signal.signal(signal.SIGALRM, too_long)
+        signal.alarm(120)
+        try:
+            for round_ in range(3):
+                table.write_table(columns, tmp_path / f"{round_}.csv")
+                assert_same_text((tmp_path / f"{round_}.csv").read_text(), naive_csv(columns))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 3 * 7
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_slow_child_takes_fewer_jobs(self, tmp_path, monkeypatch, forks):
+        """Jobs go to whichever process is free: while each child stalls on
+        its first job, this process encodes the rest."""
+        parent, chunk, here = os.getpid(), table._csv_chunk, []
+
+        def slow_in_a_child(*args):
+            if os.getpid() == parent:
+                here.append(args[2])
+            else:
+                time.sleep(1.0)
+            return chunk(*args)
+        monkeypatch.setattr(table, "_csv_chunk", slow_in_a_child)
+        columns = wide_table()
+        table.write_table(columns, tmp_path / "t.csv")
+        assert len(forks) == 3
+        assert len(here) >= 5  # of 9 chunks, where an even share is 2 or 3
+        assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
+
+    def test_full_temporary_directory_here(self, tmp_path, monkeypatch, capfd, forks):
+        """This process cannot append to its spool: it writes each job in its turn."""
+        parent, append = os.getpid(), _parallel._Spool.append
+
+        def full_here(spool, job):
+            if os.getpid() == parent:
+                raise OSError(28, "No space left on device")
+            return append(spool, job)
+        monkeypatch.setattr(_parallel._Spool, "append", full_here)
+        columns = wide_table()
+        table.write_table(columns, tmp_path / "t.csv")
+        assert len(forks) == 3
+        assert capfd.readouterr().err == ""
+        assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_no_temporary_directory_keeps_one_process(self, tmp_path, monkeypatch, forks):
         def no_directory():
             raise FileNotFoundError("No usable temporary directory found")
-        monkeypatch.setattr(table.tempfile, "TemporaryFile", no_directory)
+        monkeypatch.setattr(_parallel.tempfile, "TemporaryFile", no_directory)
         columns = wide_table()
         table.write_table(columns, tmp_path / "t.csv")
         assert forks == []
