@@ -6,12 +6,13 @@ that a command writing small tables neither loads nor compiles it.
 
 from __future__ import annotations
 
+import fcntl
 import io
 import os
 import signal
 import struct
 import tempfile
-from contextlib import suppress
+import termios
 
 from .table import _write
 
@@ -22,22 +23,18 @@ _JOBS = 2048
 
 def emit(pieces: list, fh, n: int) -> None:
     """Write the text of ``pieces`` to ``fh`` in order on up to ``n``
-    processes. The pieces are grouped into jobs of about equal float cells,
-    which this process and its forked children take one at a time from a
-    shared queue, so a process on a CPU that other work slows down takes
-    fewer. A child appends the text of each job it takes to its spool, an
-    unnamed temporary file, and this process copies the job's bytes to ``fh``
-    in turn. This process writes a job it encoded straight to ``fh`` if its
-    turn has come, and to its own spool if not. A job whose child failed
-    before reporting it is encoded here, so a fault in the encoding is raised
-    here and a full temporary directory costs time, not the output. No child
-    outlives the call, whatever it raises."""
-    spool = _spool(fh)
-    if spool is None:
-        _write(pieces, fh)
-        return
+    processes. The pieces are grouped into jobs of about equal float cells.
+    This process writes jobs straight to ``fh`` from the first on, while its
+    forked children take jobs one at a time from the end of a shared queue,
+    so a process on a CPU that other work slows down takes fewer. A child
+    appends the text of each job it takes to its spool, an unnamed temporary
+    file, and reports it. Where the two ends meet, this process empties the
+    queue and copies the children's jobs to ``fh`` in order. A job whose child
+    failed before reporting it is encoded here, so a fault in the encoding is
+    raised here and a full temporary directory costs time, not the output.
+    No child outlives the call, whatever it raises."""
     jobs = _parts(pieces, _JOBS)
-    spools, children, queue = [spool], [], None
+    spools, children, queue = [], [], None
     try:
         queue = _Queue(len(jobs))
         for _ in range(n - 1):
@@ -47,29 +44,19 @@ def emit(pieces: list, fh, n: int) -> None:
             children.append(child[0])
             spools.append(child[1])
         queue.close_reports()
-        # jobs written; job -> (file descriptor, offset, size) in a spool; the
-        # (job, text) encoded here and not yet written
-        done, where, held = 0, {}, None
-        while done < len(jobs):
-            queue.collect(where)
-            if done in where:
-                _copy(*where.pop(done), fh)
-                done += 1
-            elif held and held[0] == done:
-                _write(held[1], fh)
-                done, held = done + 1, None
-            elif held and spool:
-                try:
-                    where[held[0]] = spool.append(held[1])
-                    held = None
-                except OSError:  # no temporary space left: keep it until its turn
-                    spool = None
-            elif not held and spool and (job := queue.take()) is not None:
-                held = job, [(0, text if isinstance(text, str) else text())
-                             for _, text in jobs[job]]
-            elif not queue.collect(where, wait=True):
-                _write(jobs[done], fh)  # every child has exited, and none wrote it
-                done += 1
+        done = 0
+        while done < queue.untaken():
+            _write(jobs[done], fh)
+            done += 1
+        queue.drain()
+        where = {}  # job -> (file descriptor, offset, size) in a child's spool
+        for job in range(done, len(jobs)):
+            while job not in where and queue.collect(where):
+                pass
+            if job in where:
+                _copy(*where.pop(job), fh)
+            else:
+                _write(jobs[job], fh)  # every child has exited, and none wrote it
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
@@ -107,21 +94,31 @@ def _copy(fd: int, offset: int, size: int, fh) -> None:
 
 
 class _Queue:
-    """The numbers of a table's jobs, each taken by one process, and the
-    reports of the jobs the children have appended to their spools. Made
-    before the children are forked; only their parent reads the reports."""
+    """The numbers of a table's jobs, which the children take last-first
+    while their parent writes from the first, and the reports of the jobs the
+    children have appended to their spools. Made before the children are
+    forked; only their parent reads the reports."""
 
     def __init__(self, jobs: int):
         # at most _JOBS two-byte numbers: one write, which any pipe takes whole
         self.todo, todo_w = os.pipe()
-        os.write(todo_w, struct.pack(f"{jobs}H", *range(jobs)))
+        os.write(todo_w, struct.pack(f"{jobs}H", *reversed(range(jobs))))
         os.close(todo_w)
         self.done, self.report_w = os.pipe()
 
     def take(self):
-        """The number of the next job not taken, or None."""
+        """The number of the last job not taken, or None."""
         number = os.read(self.todo, 2)
         return struct.unpack("H", number)[0] if number else None
+
+    def untaken(self) -> int:
+        """How many jobs no child has taken: always the first ones."""
+        size = fcntl.ioctl(self.todo, termios.FIONREAD, bytes(4))
+        return struct.unpack("i", size)[0] // 2
+
+    def drain(self) -> None:
+        """Take every job left, so that each child stops after its current one."""
+        os.read(self.todo, 2 * _JOBS)
 
     def report(self, job: int, fd: int, offset: int, size: int) -> None:
         os.write(self.report_w, struct.pack("4q", job, fd, offset, size))
@@ -132,14 +129,10 @@ class _Queue:
         os.close(self.report_w)
         self.report_w = None
 
-    def collect(self, where: dict, wait: bool = False) -> bool:
-        """Enter the reports made so far into ``where``, waiting for one if
-        ``wait``; False once every child has exited."""
-        os.set_blocking(self.done, wait)
-        try:
-            records = os.read(self.done, 4096)  # whole records: each is written at once
-        except BlockingIOError:
-            return True
+    def collect(self, where: dict) -> bool:
+        """Wait for reports and enter them into ``where``; False once every
+        child has exited."""
+        records = os.read(self.done, 4096)  # whole records: each is written at once
         for job, *place in struct.iter_unpack("4q", records):
             where[job] = place
         return bool(records)
@@ -167,16 +160,7 @@ class _Spool:
         return self.file.fileno(), start, self.end - start
 
     def close(self) -> None:
-        with suppress(OSError):  # text left unwritten by a full disk
-            self.text.close()
-
-
-def _spool(fh):
-    """A new ``_Spool``, or None where no temporary file can be made."""
-    try:
-        return _Spool(fh)
-    except OSError:
-        return None
+        self.text.close()
 
 
 def _fork(jobs: list, queue: _Queue, fh):
@@ -187,8 +171,9 @@ def _fork(jobs: list, queue: _Queue, fh):
     raises, the child leaves with ``os._exit``: it never returns into its
     parent's code, runs no exit handler, prints no traceback and flushes
     nothing of its parent's."""
-    spool = _spool(fh)
-    if spool is None:
+    try:
+        spool = _Spool(fh)
+    except OSError:
         return None
     try:
         pid = os.fork()

@@ -276,6 +276,17 @@ def _cmd_pulse_sim(args) -> tuple:
                 else "an intracavity photon number")
         raise ValueError(f"--peak-power {args.peak_power!r} gives {what} "
                          "beyond the float range")
+    # the means simulate_clicks draws from, checked before its regime warnings
+    p_s = 4.0 * device.g0**2 * n_c * tau / device.optical.kappa
+    n_m = pulsed.steady_state_prepulse_occupancy(kernel, train.rep_rate)
+    side = args.eta * p_s * (n_m + 1.0 if sign > 0 else n_m)
+    for flag, value, mean in (("--peak-power", args.peak_power, side),
+                              ("--dark-rate", args.dark_rate, chain.dark_per_pulse)):
+        try:  # a draw of no samples checks the mean as Generator.poisson does
+            np.random.default_rng(0).poisson(mean, 0)
+        except ValueError:
+            raise ValueError(f"{flag} {value!r} gives {mean:.3g} counts per pulse, "
+                             "beyond the Poisson sampler's range") from None
     clicks = pulsed.simulate_clicks(device, train, chain, kernel, n_c,
                                     seed=args.seed, workers=args.workers)
     return pulsed.click_columns(clicks), None

@@ -216,7 +216,12 @@ def gauss_newton(
 def _lorentzian_init(x: np.ndarray, y: np.ndarray):
     """Initial (center, fwhm, amplitude, offset) from the extremum, the
     half-max crossings nearest to it, and the median offset."""
-    offset = float(np.median(y))
+    # np.median's own partition and mean, and its NaN: its NaN check imports numpy.ma
+    mid, even = y.size // 2, y.size % 2 == 0
+    part = np.partition(y, [mid - 1, mid, -1] if even else [mid, -1])
+    offset = float(part[mid - even:mid + 1].mean())
+    if np.isnan(part[-1]):
+        offset = float(part[-1])
     iext = int(np.argmax(np.abs(y - offset)))
     amplitude = float(y[iext] - offset)
     half = offset + amplitude / 2.0

@@ -69,6 +69,10 @@ class TestDeviceCommand:
         assert code == 2
         assert "label" in err
 
+    def test_export_without_a_path(self, capsys):
+        assert run(capsys, "device", "export", "A") == (
+            2, "", "error: device export requires an output path\n")
+
     def test_export_round_trips(self, capsys, tmp_path):
         path = tmp_path / "exported.json"
         code, _, _ = run(capsys, "device", "export", "B", str(path))
@@ -241,6 +245,19 @@ class TestPulseCommands:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: --peak-power {float(power)!r} gives a scattering "
                                "probability beyond the float range\n")
+
+    @pytest.mark.parametrize("flag, value, mean", [
+        ("--peak-power", "1e200", "3.45e+202"),
+        ("--peak-power", "1e20", "3.45e+22"),
+        ("--dark-rate", "1e30", "8e+22"),
+    ])
+    def test_mean_beyond_the_poisson_range_names_the_flag(self, flag, value, mean):
+        """A finite mean count per pulse that numpy's Poisson sampler refuses:
+        one line, and no regime warning before it."""
+        proc = fresh_omx("pulse-sim", "--pulses", "10", flag, value)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {flag} {float(value)!r} gives {mean} counts per "
+                               "pulse, beyond the Poisson sampler's range\n")
 
     def test_seed_default_is_zero(self, capsys, tmp_path):
         p1, p2 = tmp_path / "default.csv", tmp_path / "explicit.csv"
@@ -463,6 +480,8 @@ def test_closed_stdout_pipe_exits_141_silently(argv, lines):
     ["cool-curve", "--points", "3", "--nc-max", "1e290"],
     ["cool-curve", "--nc-max", "inf"],
     ["omit", "--nc", "1", "--span-hz", "1e308"],
+    ["pulse-sim", "--pulses", "10", "--peak-power", "1e200"],
+    ["pulse-sim", "--pulses", "10", "--dark-rate", "1e30"],
 ])
 def test_stderr_is_one_line_in_a_fresh_process(argv):
     """No numpy RuntimeWarning reaches a user's terminal next to the error."""
@@ -693,6 +712,19 @@ class TestFitCommand:
         code, _, err = run(capsys, "fit", "g0", "--in", str(path), "--branch", "red")
         assert code == 2
         assert "kappa" in err
+
+    @pytest.mark.parametrize("kind, header, text", [
+        ("g0", "n_c,sigma_hz", "g0 fit input needs columns n_c,gamma_m_hz[,sigma_hz]"),
+        ("g0", "gamma_m_hz", "g0 fit input needs columns n_c,gamma_m_hz[,sigma_hz]"),
+        ("heating", "n_c", "heating fit input needs columns n_c,n_m"),
+        ("heating", "n_m,n_th", "heating fit input needs columns n_c,n_m"),
+    ])
+    def test_fit_input_missing_a_column(self, capsys, tmp_path, kind, header, text):
+        path = tmp_path / "t.csv"
+        path.write_text(header + "\n" + ",".join(["1.5"] * (header.count(",") + 1)) + "\n")
+        code, out, err = run(capsys, "fit", kind, "--in", str(path), "--device", "A",
+                             *(["--branch", "red"] if kind == "g0" else []))
+        assert (code, out, err) == (2, "", f"error: {text}\n")
 
     def test_heating_fit(self, capsys, tmp_path):
         device = core.DEVICE_PRESETS["A"]

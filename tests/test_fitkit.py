@@ -139,6 +139,50 @@ class TestGaussNewton:
         assert np.all(np.diag(cov) >= 0)
 
 
+class TestGaussNewtonStops:
+    """A fit that cannot move stops at once, where it started."""
+
+    @pytest.mark.parametrize("slope, message", [
+        (0.0, "all parameters frozen (zero Jacobian)"),
+        (-1.0, "no damped step reduced the cost"),  # every step goes uphill
+    ])
+    def test_stops_at_the_start(self, slope, message):
+        res = fitkit.gauss_newton(lambda p: p - 2.0, lambda p: np.full((1, 1), slope),
+                                  [1.0], ("a",))
+        assert (res.message, res.converged, res.iterations) == (message, False, 1)
+        assert (res.params, res.residual_norm, res.stderr, res.covariance) == (
+            {"a": 1.0}, 1.0, {}, None)
+
+
+class TestLorentzianSeed:
+    """The seed's width where a half-maximum crossing is missing on one side
+    or both: twice the distance to the one found, or a sixth of the span."""
+
+    @pytest.mark.parametrize("y, seed", [
+        ([0.8, 0.9, 1.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0], (2.0, 1.25, 1.0, 0.0)),  # right only
+        ([0.0, 0.0, 0.0, 0.0, 0.2, 1.0, 0.9, 0.8], (5.0, 1.125, 0.9, 0.1)),  # left only
+        ([0.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.2, 1.0], (7.0, 7.0 / 6.0, 1.0, 0.0)),  # none
+    ], ids=["right", "left", "none"])
+    def test_missing_crossings(self, y, seed):
+        x = np.arange(float(len(y)))
+        assert fitkit._lorentzian_init(x, np.array(y)) == seed
+
+    @pytest.mark.parametrize("y", [
+        [0.0, 0.5, 1.0, -0.0, -1.0],
+        [-0.0, -0.0, -0.0, -0.0, -1.0, 1.0, -1.0],  # np.median's mean turns -0.0 to 0.0
+        [-1.0, 1.0, 0.0, 0.0, -0.0, -0.0, -0.0, -0.0, 0.5, -1.0],
+        np.round(np.random.default_rng(1).standard_normal(201), 1),
+        np.round(np.random.default_rng(2).standard_normal(202), 1),
+    ])
+    def test_offset_has_the_bits_of_the_median(self, y):
+        offset = fitkit._lorentzian_init(np.arange(float(len(y))), np.array(y))[3]
+        assert np.float64(offset).tobytes() == np.median(y).tobytes()
+
+    def test_nan_offset(self):
+        y = np.array([0.0, 1.0, np.nan, 0.5, 0.2])
+        assert math.isnan(fitkit._lorentzian_init(np.arange(5.0), y)[3])
+
+
 class TestLorentzianFit:
     def test_noiseless_peak_round_trip(self):
         x = np.linspace(-10.0, 10.0, 201)

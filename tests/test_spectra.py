@@ -240,6 +240,22 @@ class TestExtractSplitting:
         assert split == pytest.approx(2 * g, rel=0.02)
 
 
+class TestRefineMinimum:
+    """A minimum on the grid's edge, or with no upward curvature, keeps its
+    grid point."""
+
+    FREQ = np.array([1.0, 2.0, 4.0, 5.0])
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_grid_edge(self, i):
+        assert spectra._refine_minimum(self.FREQ, np.array([3.0, 1.0, 1.0, 3.0]), i) == self.FREQ[i]
+
+    @pytest.mark.parametrize("mag", [[2.0, 2.0, 2.0, 2.0], [1.0, 3.0, 2.0, 0.0]],
+                             ids=["flat", "downward"])
+    def test_no_upward_curvature(self, mag):
+        assert spectra._refine_minimum(self.FREQ, np.array(mag), 1) == 2.0
+
+
 class TestPsdHelpers:
     def test_component_validation(self):
         with pytest.raises(ValueError):

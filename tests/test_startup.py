@@ -80,6 +80,15 @@ def trace(tmp_path):
 
 
 @pytest.fixture
+def fano_trace(tmp_path):
+    omega = np.linspace(1e9, 2e9, 201) * 2 * np.pi
+    values = fitkit.fano(omega, 1.5e9 * 2 * np.pi, 50e6 * 2 * np.pi, 2.0, 0.1, 0.5)
+    path = tmp_path / "fano.csv"
+    spectra.write_trace_csv(path, spectra.SpectrumTrace(omega, values))
+    return str(path)
+
+
+@pytest.fixture
 def clicks(tmp_path):
     """The paths of a blue and a red click file of 100 pulses, by label."""
     paths = {}
@@ -116,19 +125,19 @@ def test_import_omx_loads_no_submodule():
     (["pulse-sim", "--pulses", "70000", "--workers", "2"], ["omx.pulsed"], True),  # 2 blocks
     (["taper", "--cells", "17"], ["omx.geometry"], False),
     (["fit", "lorentzian", "--in", "{trace}"], ["omx.fitkit", "omx.spectra"], False),
+    (["fit", "fano", "--in", "{fano}"], ["omx.fitkit", "omx.spectra"], False),
     (["histogram", "--blue", "{blue}", "--red", "{red}", "--pulses", "100"],
      ["omx.pulsed"], False),
     (["estimate", "--blue", "{blue}", "--red", "{red}", "--pulses", "100"],
      ["omx.pulsed"], False),
 ], ids=["device", "cool-curve", "cool-curve-split", "omit", "pulse-sim", "pulse-sim-pooled",
-        "taper", "fit", "histogram", "estimate"])
-def test_each_command_loads_only_what_it_runs(trace, clicks, argv, extra, futures):
-    result = fresh([arg.format(trace=trace, **clicks) for arg in argv])
+        "taper", "fit", "fit-fano", "histogram", "estimate"])
+def test_each_command_loads_only_what_it_runs(trace, fano_trace, clicks, argv, extra, futures):
+    result = fresh([arg.format(trace=trace, fano=fano_trace, **clicks) for arg in argv])
     assert result["codes"] == [0]
     assert result["omx"] == sorted(CLI_MODULES + extra)
     assert result["futures"] is futures  # the thread pool only for a pooled run
-    if argv[0] != "fit":  # np.median in fitkit loads numpy.ma
-        assert not result["numpy_ma"]  # as np.unique does without index outputs
+    assert not result["numpy_ma"]  # as np.unique without index outputs and np.median do
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

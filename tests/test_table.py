@@ -283,22 +283,87 @@ class TestProcesses:
         assert len(here) >= 5  # of 9 chunks, where an even share is 2 or 3
         assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
 
-    def test_full_temporary_directory_here(self, tmp_path, monkeypatch, capfd, forks):
-        """This process cannot append to its spool: it writes each job in its turn."""
-        parent, append = os.getpid(), _parallel._Spool.append
+    def test_a_slow_main_process_takes_fewer_jobs(self, tmp_path, monkeypatch, forks):
+        """While this process stalls on its first job, the children take the
+        others from the end."""
+        parent, chunk, here = os.getpid(), table._csv_chunk, []
 
-        def full_here(spool, job):
+        def slow_here(*args):
             if os.getpid() == parent:
-                raise OSError(28, "No space left on device")
-            return append(spool, job)
-        monkeypatch.setattr(_parallel._Spool, "append", full_here)
+                here.append(args[2])
+                if args[2] == 0:
+                    time.sleep(1.0)
+            return chunk(*args)
+        monkeypatch.setattr(table, "_csv_chunk", slow_here)
         columns = wide_table()
         table.write_table(columns, tmp_path / "t.csv")
         assert len(forks) == 3
-        assert capfd.readouterr().err == ""
+        assert here[0] == 0 and len(here) <= 2  # of 9 chunks, where an even share is 2 or 3
+        assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
+
+    def test_failed_fork_closes_its_spool(self, tmp_path, monkeypatch, forks):
+        spools, init = [], _parallel._Spool.__init__
+
+        def made(spool, fh):
+            init(spool, fh)
+            spools.append(spool)
+
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(_parallel._Spool, "__init__", made)
+        monkeypatch.setattr(os, "fork", no_fork)
+        columns = wide_table()
+        table.write_table(columns, tmp_path / "t.csv")
+        assert len(spools) == 1 and spools[0].file.closed
         assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_job_where_the_ends_meet_is_written_once(self, tmp_path, monkeypatch, forks):
+        """This process holds its first job until a child has encoded it too:
+        only this process's text of it is written."""
+        parent, chunk, taken = os.getpid(), table._csv_chunk, tmp_path / "taken"
+
+        def both_ends(*args):
+            if os.getpid() == parent:
+                if args[2] == 0:
+                    deadline = time.monotonic() + 60
+                    while not taken.exists() and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert taken.exists(), "no child took the first job"
+                return chunk(*args)
+            time.sleep(0.2)  # so that this process starts the first job first
+            if args[2] == 0:
+                taken.touch()
+                return "from a child\n"
+            return chunk(*args)
+        monkeypatch.setattr(table, "_csv_chunk", both_ends)
+        columns = wide_table()
+        table.write_table(columns, tmp_path / "t.csv")
+        assert len(forks) == 3
+        assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
+
+    def test_one_spool_per_child_and_none_here(self, tmp_path, monkeypatch, forks):
+        """This process writes its jobs straight to the output: it makes a
+        spool only for each child it forks, and appends to none."""
+        parent, spools, appended = os.getpid(), [], []
+        init, append = _parallel._Spool.__init__, _parallel._Spool.append
+
+        def made(spool, fh):
+            init(spool, fh)
+            spools.append(spool)
+
+        def append_here(spool, job):
+            if os.getpid() == parent:
+                appended.append(job)
+            return append(spool, job)
+        monkeypatch.setattr(_parallel._Spool, "__init__", made)
+        monkeypatch.setattr(_parallel._Spool, "append", append_here)
+        columns = wide_table()
+        table.write_table(columns, tmp_path / "t.csv")
+        assert len(spools) == len(forks) == 3
+        assert appended == [] and all(spool.file.closed for spool in spools)
+        assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
 
     def test_no_temporary_directory_keeps_one_process(self, tmp_path, monkeypatch, forks):
         def no_directory():
