@@ -167,6 +167,17 @@ class TestProcesses:
         monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
         return made
 
+    @pytest.fixture
+    def spools(self, monkeypatch):
+        """The spools this process makes."""
+        made, init = [], _parallel._Spool.__init__
+
+        def record(spool, fh):
+            init(spool, fh)
+            made.append(spool)
+        monkeypatch.setattr(_parallel._Spool, "__init__", record)
+        return made
+
     @staticmethod
     def refuse_forks(monkeypatch):
         def fork():
@@ -301,16 +312,9 @@ class TestProcesses:
         assert here[0] == 0 and len(here) <= 2  # of 9 chunks, where an even share is 2 or 3
         assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
 
-    def test_failed_fork_closes_its_spool(self, tmp_path, monkeypatch, forks):
-        spools, init = [], _parallel._Spool.__init__
-
-        def made(spool, fh):
-            init(spool, fh)
-            spools.append(spool)
-
+    def test_failed_fork_closes_its_spool(self, tmp_path, monkeypatch, forks, spools):
         def no_fork():
             raise OSError(11, "Resource temporarily unavailable")
-        monkeypatch.setattr(_parallel._Spool, "__init__", made)
         monkeypatch.setattr(os, "fork", no_fork)
         columns = wide_table()
         table.write_table(columns, tmp_path / "t.csv")
@@ -343,21 +347,15 @@ class TestProcesses:
         assert len(forks) == 3
         assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
 
-    def test_one_spool_per_child_and_none_here(self, tmp_path, monkeypatch, forks):
+    def test_one_spool_per_child_and_none_here(self, tmp_path, monkeypatch, forks, spools):
         """This process writes its jobs straight to the output: it makes a
         spool only for each child it forks, and appends to none."""
-        parent, spools, appended = os.getpid(), [], []
-        init, append = _parallel._Spool.__init__, _parallel._Spool.append
-
-        def made(spool, fh):
-            init(spool, fh)
-            spools.append(spool)
+        parent, append, appended = os.getpid(), _parallel._Spool.append, []
 
         def append_here(spool, job):
             if os.getpid() == parent:
                 appended.append(job)
             return append(spool, job)
-        monkeypatch.setattr(_parallel._Spool, "__init__", made)
         monkeypatch.setattr(_parallel._Spool, "append", append_here)
         columns = wide_table()
         table.write_table(columns, tmp_path / "t.csv")
