@@ -46,6 +46,10 @@ LABELS = ("red", "blue", "dark")  # a ClickStream label is an index into this
 # on how many workers the simulation is split across
 BLOCK_PULSES = 65536
 
+# largest mean _poisson_nonzero draws itself; above it numpy's loop over
+# every sample is the faster (per-block timings over the mean: BENCH_15.json)
+_SPARSE_POISSON_MAX = 0.16
+
 # reference occupancy-vs-repetition-rate anchors for an 80 ns, ~5%
 # scattering-probability train on the bundled device B preset
 DEFAULT_KERNEL_ANCHORS = ((188e3, 0.043), (3.012e6, 0.42))
@@ -288,20 +292,82 @@ def default_kernel() -> HeatingKernel:
     return _DEFAULT_KERNEL
 
 
+def _poisson_nonzero(rng: np.random.Generator, lam: float, n: int):
+    """(index, count) of the nonzero entries of ``rng.poisson(lam, n)``, bit for bit.
+
+    The generator's state ends where ``rng.poisson`` leaves it. Below a mean
+    of 10 numpy multiplies uniform doubles until the product falls to
+    exp(-lam) or below (Knuth, TAOCP vol. 2, 3.4.1); the count is the number
+    of factors before that. Each sample takes at least one double, so the
+    first n doubles are drawn at once. One at or below exp(-lam) ends a
+    sample whatever came before it, so only the doubles above it, a fraction
+    of about lam, are multiplied here: left to right within each run of them,
+    across all runs at once. A sample the n doubles leave unfinished takes
+    more one at a time, and numpy draws the samples still to come. Other
+    means, errors included, are numpy's own.
+    """
+    if not 0.0 < lam <= _SPARSE_POISSON_MAX:
+        counts = rng.poisson(lam, n)
+        index = np.flatnonzero(counts)
+        return index, counts[index]
+    bound = math.exp(-lam)  # numpy's C code calls this libm exp; np.exp may differ
+    d = rng.random(n)
+    high = np.flatnonzero(d > bound)
+    if not high.size:  # every sample is one double and counts 0
+        return high, high
+    cut = np.flatnonzero(high[1:] != high[:-1] + 1)
+    first = high[np.concatenate(([0], cut + 1))]  # each run of high doubles
+    end = high[np.append(cut, high.size - 1)] + 1  # the double after it ends its sample
+    size = end - first  # the run's count, if no sample ends inside it
+    stops, counts = [end], [size]
+    long = np.flatnonzero(size > 1)
+    if long.size:  # a sample ends inside a run where the product falls to the bound
+        start, length = first[long], size[long]
+        q, c = d[start], np.ones(long.size, np.int64)
+        for k in range(1, int(length.max())):
+            live = np.flatnonzero(length > k)
+            x = q[live] * d[start[live] + k]
+            stop = x <= bound
+            stops.append(start[live][stop] + k)
+            counts.append(c[live][stop])
+            q[live] = np.where(stop, 1.0, x)
+            c[live] = np.where(stop, 0, c[live] + 1)
+        size[long] = c
+    drawn = n
+    if end[-1] == n and size[-1]:  # the last sample is unfinished: draw on
+        prod = math.prod(d[n - size[-1]:].tolist())  # its factors so far, left to right
+        end[-1] -= size[-1]  # where it starts
+        while (prod := prod * rng.random()) > bound:
+            size[-1] += 1
+        end[-1] += size[-1]
+        drawn = end[-1] + 1
+    if len(stops) > 1:
+        end, size = np.concatenate(stops), np.concatenate(counts)
+        order = np.argsort(end, kind="stable")  # a few sorted runs: merged
+        end, size = end[order], size[order]
+    done = drawn - int(size.sum())  # samples finished
+    end, size = end[size > 0], size[size > 0]
+    index = end - np.cumsum(size)  # sample s ends at double s + its count and all before
+    if done < n:
+        rest = rng.poisson(lam, n - done)
+        more = np.flatnonzero(rest)
+        index = np.concatenate((index, done + more))
+        size = np.concatenate((size, rest[more]))
+    return index, size
+
+
 def _block_clicks(seed: int, block_index: int, n_block: int, base_index: int,
                   mu_side: float, mu_dark: float, tau: float, window: float,
                   side_label: str):
     """Sorted (pulse_index, t, label) arrays for one block, from its own random stream."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, block_index)))
-    side_counts = rng.poisson(mu_side, n_block)
-    dark_counts = rng.poisson(mu_dark, n_block)
+    side_index, side_counts = _poisson_nonzero(rng, mu_side, n_block)
+    dark_index, dark_counts = _poisson_nonzero(rng, mu_dark, n_block)
     side_times = rng.uniform(0.0, tau, int(side_counts.sum()))
     dark_times = rng.uniform(0.0, window, int(dark_counts.sum()))
 
-    pulse = np.concatenate([
-        base_index + np.repeat(np.arange(n_block), side_counts),
-        base_index + np.repeat(np.arange(n_block), dark_counts),
-    ])
+    pulse = base_index + np.concatenate([np.repeat(side_index, side_counts),
+                                         np.repeat(dark_index, dark_counts)])
     times = np.concatenate([side_times, dark_times])
     label = np.repeat(np.array([LABELS.index(side_label), LABELS.index("dark")], np.int8),
                       [side_times.size, dark_times.size])
@@ -323,6 +389,7 @@ def simulate_clicks(device: Device, train: PulseTrain, chain: DetectionChain,
     bit-identical for any worker count. Within a pulse, sideband clicks
     precede dark clicks.
     """
+    _check("workers", workers, ge=1)
     p_s = scattering_probability(device, n_c, train.tau)
     n_m = steady_state_prepulse_occupancy(kernel, train.rep_rate)
     if train.detuning_sign == "blue":

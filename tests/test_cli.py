@@ -259,6 +259,12 @@ class TestPulseCommands:
         assert proc.stderr == (f"error: {flag} {float(value)!r} gives {mean} counts per "
                                "pulse, beyond the Poisson sampler's range\n")
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_names_the_flag(self, capsys, workers):
+        """Rejected before any block is drawn, so no thread starts."""
+        code, out, err = run(capsys, "pulse-sim", "--pulses", "10", "--workers", workers)
+        assert (code, out, err) == (2, "", "error: workers must be >= 1\n")
+
     def test_seed_default_is_zero(self, capsys, tmp_path):
         p1, p2 = tmp_path / "default.csv", tmp_path / "explicit.csv"
         assert self.simulate(capsys, p1)[0] == 0

@@ -251,6 +251,12 @@ class TestSimulateClicks:
                                   self.chain, workers=4, **kwargs)
         assert serial == threaded
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
+            pulsed.simulate_clicks(self.device, self.train("blue", 10), self.chain,
+                                   flat_kernel(0.4), self.n_c, workers=workers)
+
     def test_different_seeds_differ(self):
         a = quiet_simulate(self.device, self.train("blue", 30_000), self.chain,
                            flat_kernel(0.4), self.n_c, seed=0)
@@ -306,6 +312,120 @@ class TestSimulateClicks:
         with pytest.warns(UserWarning):
             pulsed.simulate_clicks(self.device, self.train("blue", 100), self.chain,
                                    flat_kernel(1.0), heavy_n_c, seed=0)
+
+
+def workload_means(rep_rate: float, peak_power: float, eta: float) -> dict:
+    """Mean counts per pulse of a perfbench thermo workload, as pulse-sim draws them."""
+    device, tau = core.DEVICE_PRESETS["B"], 80e-9
+    n_m = pulsed.steady_state_prepulse_occupancy(pulsed.default_kernel(), rep_rate)
+    means = {"dark": pulsed.DetectionChain(eta=eta).dark_per_pulse}
+    for sign, label in ((1.0, "blue"), (-1.0, "red")):
+        drive = core.Drive.at_detuning(device.optical, sign * device.mechanical.omega_m,
+                                       on_chip_power=peak_power)
+        n_c = core.intracavity_photons(device.optical, drive)
+        p_s = 4.0 * device.g0**2 * n_c * tau / device.optical.kappa
+        means[label] = eta * p_s * (n_m + 1.0 if sign > 0 else n_m)
+    return means
+
+
+def inline_block_clicks(seed, block_index, n_block, base_index, mu_side, mu_dark,
+                        tau, window, side_label):
+    """``pulsed._block_clicks`` as written before ``_poisson_nonzero``: every
+    pulse's count from ``Generator.poisson``."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, block_index)))
+    side_counts = rng.poisson(mu_side, n_block)
+    dark_counts = rng.poisson(mu_dark, n_block)
+    side_times = rng.uniform(0.0, tau, int(side_counts.sum()))
+    dark_times = rng.uniform(0.0, window, int(dark_counts.sum()))
+    pulse = np.concatenate([
+        base_index + np.repeat(np.arange(n_block), side_counts),
+        base_index + np.repeat(np.arange(n_block), dark_counts),
+    ])
+    times = np.concatenate([side_times, dark_times])
+    label = np.repeat(np.array([code(side_label), code("dark")], np.int8),
+                      [side_times.size, dark_times.size])
+    order = np.lexsort((label, pulse))
+    return pulse[order], times[order], label[order]
+
+
+CROSSOVER = pulsed._SPARSE_POISSON_MAX
+
+
+class TestPoissonSampler:
+    """``_poisson_nonzero`` against numpy's ``Generator.poisson``: the nonzero
+    entries and the generator's final state, bit for bit."""
+
+    @staticmethod
+    def assert_as_numpy(lam, n, seed):
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = want.poisson(lam, n)
+        index, count = pulsed._poisson_nonzero(got, lam, n)
+        nonzero = np.flatnonzero(counts)
+        assert index.dtype == count.dtype == np.int64
+        np.testing.assert_array_equal(index, nonzero)
+        np.testing.assert_array_equal(count, counts[nonzero])
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 65536])
+    @pytest.mark.parametrize("lam", [
+        5e-324, 4e-7, 1e-4, 2.55e-3, 0.0836,
+        np.nextafter(CROSSOVER, 0), CROSSOVER, np.nextafter(CROSSOVER, 1),
+        0.283, 1.0, 9.99, 10.0, 0.0,
+    ])
+    def test_equals_numpy(self, lam, n):
+        # a few doubles often end inside a sample: many seeds reach that branch
+        for seed in range(4 if n > 7 else 200):
+            self.assert_as_numpy(float(lam), n, seed)
+
+    def test_product_equal_to_the_bound_ends_a_sample(self):
+        """numpy ends a sample once the product is <= exp(-lam): a first double
+        equal to the bound counts 0, and two whose product equals it count 1."""
+        seed = next(s for s in range(10_000)
+                    if np.prod(np.random.default_rng(s).random(2)) > math.exp(-CROSSOVER))
+        u = np.random.default_rng(seed).random(2)
+        for bound, count in ((u[0], 0), (u[0] * u[1], 1)):
+            lam = -math.log(bound)
+            for _ in range(100):  # the mean whose libm exp(-lam) is the bound
+                if math.exp(-lam) == bound:
+                    break
+                lam = np.nextafter(lam, np.inf if math.exp(-lam) > bound else 0.0)
+            assert math.exp(-lam) == bound and 0.0 < lam <= CROSSOVER
+            assert np.random.default_rng(seed).poisson(lam, 1)[0] == count
+            for n in (1, 2):  # the second double drawn one at a time, or with the first
+                self.assert_as_numpy(float(lam), n, seed)
+
+    def test_random_means_and_sizes(self):
+        meta = np.random.default_rng(20241015)
+        for _ in range(400):
+            lam = float(10.0 ** meta.uniform(-9.0, math.log10(2.0 * CROSSOVER)))
+            n = int(meta.integers(0, 70_000 if meta.random() < 0.05 else 3_000))
+            self.assert_as_numpy(lam, n, int(meta.integers(2**63)))
+
+    @pytest.mark.parametrize("lam", [-1.0, -5e-324, math.nan, 1e300])
+    def test_invalid_mean_raises_numpy_error(self, lam):
+        with pytest.raises(ValueError) as want:
+            np.random.default_rng(0).poisson(lam, 5)
+        with pytest.raises(ValueError) as got:
+            pulsed._poisson_nonzero(np.random.default_rng(0), lam, 5)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("workload", [
+        (188e3, 7.4e-6, 0.05),  # thermo_sparse: the CLI's default physics
+        (3.012e6, 3e-5, 1.0),  # thermo_dense
+    ])
+    @pytest.mark.parametrize("side", ["blue", "red"])
+    def test_block_clicks_as_before(self, workload, side):
+        means, tau = workload_means(*workload), 80e-9
+        last = 12_000_000 // pulsed.BLOCK_PULSES  # a short final block
+        for seed in (1601, 1602):
+            for b, n_block in ((0, pulsed.BLOCK_PULSES), (1, pulsed.BLOCK_PULSES),
+                               (last, 12_000_000 - last * pulsed.BLOCK_PULSES)):
+                args = (seed, b, n_block, b * pulsed.BLOCK_PULSES, means[side],
+                        means["dark"], tau, tau, side)
+                got, want = pulsed._block_clicks(*args), inline_block_clicks(*args)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    np.testing.assert_array_equal(g, w)
 
 
 class TestEstimateOccupancy:
