@@ -44,6 +44,12 @@ from .constants import angular_to_hz, hz_to_angular
 __all__ = ["main", "build_parser"]
 
 
+# The most rows, bins or cells a size flag may ask for, checked before anything
+# is allocated: a table of this many rows and a few float columns takes about a
+# GB to build and write. Beyond it a command exits 2 naming the flag.
+_MAX_ROWS = 10**7
+
+
 def _preset_dir() -> str | None:
     return os.environ.get("OMX_PRESET_DIR") or None
 
@@ -189,7 +195,7 @@ def _cmd_cool_curve(args) -> tuple:
     core._check("nc-max", args.nc_max)
     if not 0 < args.nc_min < args.nc_max:
         raise ValueError("need 0 < nc-min < nc-max")
-    core._check("points", args.points, ge=2)
+    core._check("points", args.points, within=(2, _MAX_ROWS))
     grid = np.geomspace(args.nc_min, args.nc_max, args.points)
     curve = core.cooling_curve(device, heating, grid)
     t_eff = core.temperature_from_occupancy(device.mechanical.omega_m, curve.n_m)
@@ -210,7 +216,7 @@ def _grid_hz(flag: str, lo: float, hi: float, points: int) -> np.ndarray:
 
 def _probe_grid(device: core.Device, span_hz: float, points: int) -> np.ndarray:
     core._check("span-hz", span_hz, positive=True)
-    core._check("points", points, ge=2)
+    core._check("points", points, within=(2, _MAX_ROWS))
     f_m = angular_to_hz(device.mechanical.omega_m)
     return hz_to_angular(_grid_hz("span-hz", f_m - span_hz / 2.0, f_m + span_hz / 2.0,
                                   points))
@@ -240,8 +246,10 @@ def _cmd_omit_map(args) -> tuple:
     core._check("detuning-max-hz", hi)
     if not hi > lo:
         raise ValueError("need detuning-min-hz < detuning-max-hz")
-    core._check("detuning-points", args.detuning_points, ge=2)
+    core._check("detuning-points", args.detuning_points, within=(2, _MAX_ROWS))
     probe = _probe_grid(device, args.span_hz, args.points)
+    core._check("points x detuning-points", probe.size * args.detuning_points,
+                within=(4, _MAX_ROWS))
     detunings_hz = _grid_hz("detuning-min-hz/detuning-max-hz", lo, hi,
                             args.detuning_points)
     mag = np.abs(spectra.omit_reflection_map(device, args.nc, hz_to_angular(detunings_hz),
@@ -312,6 +320,9 @@ def _cmd_estimate(args) -> tuple:
 def _cmd_histogram(args) -> tuple:
     from . import pulsed
 
+    core._check("window-ns", args.window_ns, positive=True)
+    core._check("bin-ns", args.bin_ns, positive=True)
+    core._check("window-ns / bin-ns", args.window_ns / args.bin_ns, within=(0, _MAX_ROWS))
     window = args.window_ns * 1e-9
     bin_width = args.bin_ns * 1e-9
     blue, red = (pulsed.histogram(pulsed.read_clicks_csv(path), bin_width,
@@ -325,7 +336,7 @@ def _cmd_taper(args) -> tuple:
     from . import geometry
 
     design = _load_design(args.device)
-    core._check("cells", args.cells, ge=1)
+    core._check("cells", args.cells, within=(1, _MAX_ROWS))
     schedule = geometry.generate_schedule(design, n_cells=args.cells)
     return geometry.schedule_columns(schedule), None
 

@@ -2,13 +2,15 @@
 
 CSV is a header row, then one ``\\n``-terminated row per entry, written
 ``CHUNK_ROWS`` rows at a time. A cell is ``str(int)``, ``repr(float)`` (so
-floats round-trip exactly), ``true``/``false`` or the string itself. It is
-read back by numpy's C parser in one call; ``csv`` scans a file again only to
-name the line of a fault. JSON is one indented object mapping each name to its
-column as a list, written from the same cells (a string is JSON-quoted); its
-bytes are those of ``json.dumps(..., indent=2)``. A large table is encoded on
-up to one process per CPU this process may use, and its bytes do not depend on
-how many. Each file layout lives next to its type (``pulsed.click_columns``,
+floats round-trip exactly), ``true``/``false`` or the string itself. A number
+is orjson's text, which equals that for a bool, an int and a float x == 0 or
+1e-4 <= |x| < 1e16; ``repr`` formats any other float. It is read back by
+numpy's C parser in one call; ``csv`` scans a file again only to name the line
+of a fault. JSON is one indented object mapping each name to its column as a
+list, written from the same cells (a string is JSON-quoted); its bytes are
+those of ``json.dumps(..., indent=2)``. A large table is encoded on up to one
+process per CPU this process may use, and its bytes do not depend on how many.
+Each file layout lives next to its type (``pulsed.click_columns``,
 ``spectra.trace_columns``, ...).
 """
 
@@ -30,14 +32,15 @@ __all__ = ["CHUNK_ROWS", "format_cell", "write_table", "write_json", "read_table
 
 CHUNK_ROWS = 16384
 
-# Each float cell is one repr call, 0.5-0.8 us on a shared 2-vCPU x86 VM, so
-# a table's float cells measure its encoding work. There a forked encoder adds
-# 8-13 ms of CPU in a process holding an omit-map 401x2001 table: 3.5 ms for
-# the fork and exit alone, the rest copy-on-write faults. That is the repr of
-# 15-25k cells, so a process is added only per this many float cells, where
-# the fork costs at most a fifth of the work it takes over. The 85k-cell click
-# file of a dense pulse-sim run stays on one process.
-_CELLS_PER_PROCESS = 100_000
+# A float cell costs 0.1-0.2 us to encode on a shared 2-vCPU x86 VM (orjson's
+# text and the row joins; 0.2 in a cool-curve table), so a table's float cells
+# measure its encoding work. There a forked encoder adds about 10 ms of CPU in
+# a process holding an omit-map 401x2001 table: 3 ms for the fork and exit
+# alone, the rest copy-on-write faults. That is the encoding of 50-100k cells,
+# so a process is added only per this many float cells, where the fork costs
+# at most a fifth of the work it takes over at 0.2 us a cell: a 1e5-point
+# cool-curve (500k cells) is split, an omit-map 41x2001 JSON table (246k) not.
+_CELLS_PER_PROCESS = 250_000
 
 
 def _repeats(values: np.ndarray) -> bool:
@@ -53,16 +56,33 @@ def _repeats(values: np.ndarray) -> bool:
 def _cells(values: np.ndarray, repeats: bool) -> list:
     """The cells of a 1-d column. Where ``repeats`` (``_repeats`` of the
     column), each distinct float is formatted once."""
+    if values.dtype.kind not in "biuf":
+        return list(map(str, values.tolist()))
+    if repeats:
+        bits, index = np.unique(values.view(np.int64), return_inverse=True)
+        return np.array(_numbers(bits.view(np.float64)), object)[index].tolist()
+    return _numbers(values)
+
+
+def _numbers(values: np.ndarray) -> list:
+    """The cells of a bool, int or float column: orjson's text, and ``repr``'s
+    for a float outside its window (x == 0 or 1e-4 <= |x| < 1e16)."""
+    import orjson
+
+    # orjson reads an array's bytes as native and C-contiguous; float32 widens
+    # exactly, as tolist does
     kind = values.dtype.kind
+    values = np.ascontiguousarray(values, np.float64 if kind == "f"
+                                  else values.dtype.newbyteorder("="))
+    if not values.size:
+        return []
+    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
     if kind == "f":
-        if repeats:
-            bits, index = np.unique(values.view(np.int64), return_inverse=True)
-            distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), object)
-            return distinct[index].tolist()
-        return list(map(repr, values.tolist()))
-    if kind == "b":
-        return ["true" if v else "false" for v in values.tolist()]
-    return list(map(str, values.tolist()))
+        size = np.abs(values)
+        other = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0))
+        for k, value in zip(other.tolist(), values[other].tolist()):
+            cells[k] = repr(value)
+    return cells
 
 
 def format_cell(value) -> str:
@@ -158,6 +178,7 @@ def _emit(pieces: list, fh) -> None:
     if n == 1:
         _write(pieces, fh)
     else:
+        import orjson  # noqa: F401  loaded here once, not in each forked child
         from . import _parallel
         _parallel.emit(pieces, fh, n)
 

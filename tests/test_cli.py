@@ -441,6 +441,33 @@ def test_non_finite_grid_flag_is_a_usage_error(capsys, argv, text):
     assert err.count("\n") == 1
 
 
+CLICK_FLAGS = ["--blue", "no-blue.csv", "--red", "no-red.csv", "--pulses", "100"]
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["cool-curve", "--points", str(10**20)], "points must lie in [2, 10000000]"),
+    (["omit", "--nc", "100", "--points", str(10**20)], "points must lie in [2, 10000000]"),
+    (["omit-map", "--nc", "100", "--points", str(10**20)],
+     "points must lie in [2, 10000000]"),
+    (["omit-map", "--nc", "100", "--detuning-points", str(10**20)],
+     "detuning-points must lie in [2, 10000000]"),
+    (["omit-map", "--nc", "100", "--points", str(10**6), "--detuning-points", str(10**6)],
+     "points x detuning-points must lie in [4, 10000000]"),
+    (["taper", "--cells", str(10**20)], "cells must lie in [1, 10000000]"),
+    (["histogram", *CLICK_FLAGS, "--bin-ns", "1e-30"],
+     "window-ns / bin-ns must lie in [0, 10000000]"),
+    (["histogram", *CLICK_FLAGS, "--bin-ns", "5e-324"], "window-ns / bin-ns must be finite"),
+    (["histogram", *CLICK_FLAGS, "--bin-ns", "0"], "bin-ns must be positive"),
+    (["histogram", *CLICK_FLAGS, "--window-ns", "-80"], "window-ns must be positive"),
+])
+def test_size_beyond_the_cap_names_the_flag(capsys, argv, text):
+    """Checked against one row cap before anything of that size is allocated
+    (the click files named are never opened)."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {text}") and err.count("\n") == 1
+
+
 def fresh_env() -> dict:
     """The environment of a new ``omx`` interpreter: this tree's ``src``, and
     Python's default warning filters and stdout buffering."""
@@ -488,6 +515,8 @@ def test_closed_stdout_pipe_exits_141_silently(argv, lines):
     ["omit", "--nc", "1", "--span-hz", "1e308"],
     ["pulse-sim", "--pulses", "10", "--peak-power", "1e200"],
     ["pulse-sim", "--pulses", "10", "--dark-rate", "1e30"],
+    ["cool-curve", "--points", str(10**20)],
+    ["histogram", *CLICK_FLAGS, "--bin-ns", "1e-30"],
 ])
 def test_stderr_is_one_line_in_a_fresh_process(argv):
     """No numpy RuntimeWarning reaches a user's terminal next to the error."""

@@ -20,9 +20,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports the modules named after the JSON argument, then ``omx``, then runs the
 # commands given as a JSON list of argv lists, in one fresh interpreter; prints
-# the exit codes, what was loaded on the way (``numpy.ma`` among it), the OS
-# threads left at the end (Linux only) and the environment variables that
-# changed.
+# the exit codes, what was loaded on the way (``numpy.ma`` and ``orjson`` among
+# it), the OS threads left at the end (Linux only) and the environment
+# variables that changed.
 SCRIPT = """
 import importlib, json, os, sys, time
 environ = dict(os.environ)
@@ -46,6 +46,7 @@ changed = {k: os.environ.get(k) for k in environ.keys() | os.environ.keys()
 print(json.dumps({"import_omx": after_import, "codes": codes, "omx": loaded("omx"),
                   "scipy": loaded("scipy"), "futures": "concurrent.futures" in sys.modules,
                   "numpy_ma": "numpy.ma" in sys.modules,
+                  "orjson": "orjson" in sys.modules,
                   "threads": threads, "environ_changed": changed}))
 """
 
@@ -116,28 +117,31 @@ def test_import_omx_loads_no_submodule():
     assert (result["import_omx"], result["omx"]) == (["omx"], CLI_MODULES)
 
 
-@pytest.mark.parametrize("argv, extra, futures", [
-    (["device", "list"], [], False),
-    (["cool-curve", "--points", "20"], [], False),
-    (["cool-curve", "--points", "50000"], SPLIT, False),  # 250k float cells
-    (["omit", "--nc", "100", "--points", "51"], ["omx.spectra"], False),
-    (["pulse-sim", "--pulses", "2000", "--workers", "1"], ["omx.pulsed"], False),
-    (["pulse-sim", "--pulses", "70000", "--workers", "2"], ["omx.pulsed"], True),  # 2 blocks
-    (["taper", "--cells", "17"], ["omx.geometry"], False),
-    (["fit", "lorentzian", "--in", "{trace}"], ["omx.fitkit", "omx.spectra"], False),
-    (["fit", "fano", "--in", "{fano}"], ["omx.fitkit", "omx.spectra"], False),
+# the last field: whether the command writes a table, which alone loads orjson
+@pytest.mark.parametrize("argv, extra, futures, orjson", [
+    (["device", "list"], [], False, False),
+    (["cool-curve", "--points", "20"], [], False, True),
+    (["cool-curve", "--points", "100000"], SPLIT, False, True),  # 500k float cells
+    (["omit", "--nc", "100", "--points", "51"], ["omx.spectra"], False, True),
+    (["pulse-sim", "--pulses", "2000", "--workers", "1"], ["omx.pulsed"], False, True),
+    (["pulse-sim", "--pulses", "70000", "--workers", "2"], ["omx.pulsed"], True, True),  # 2 blocks
+    (["taper", "--cells", "17"], ["omx.geometry"], False, True),
+    (["fit", "lorentzian", "--in", "{trace}"], ["omx.fitkit", "omx.spectra"], False, False),
+    (["fit", "fano", "--in", "{fano}"], ["omx.fitkit", "omx.spectra"], False, False),
     (["histogram", "--blue", "{blue}", "--red", "{red}", "--pulses", "100"],
-     ["omx.pulsed"], False),
+     ["omx.pulsed"], False, True),
     (["estimate", "--blue", "{blue}", "--red", "{red}", "--pulses", "100"],
-     ["omx.pulsed"], False),
+     ["omx.pulsed"], False, False),
 ], ids=["device", "cool-curve", "cool-curve-split", "omit", "pulse-sim", "pulse-sim-pooled",
         "taper", "fit", "fit-fano", "histogram", "estimate"])
-def test_each_command_loads_only_what_it_runs(trace, fano_trace, clicks, argv, extra, futures):
+def test_each_command_loads_only_what_it_runs(trace, fano_trace, clicks, argv, extra, futures,
+                                              orjson):
     result = fresh([arg.format(trace=trace, fano=fano_trace, **clicks) for arg in argv])
     assert result["codes"] == [0]
     assert result["omx"] == sorted(CLI_MODULES + extra)
     assert result["futures"] is futures  # the thread pool only for a pooled run
     assert not result["numpy_ma"]  # as np.unique without index outputs and np.median do
+    assert result["orjson"] is orjson
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

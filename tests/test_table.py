@@ -84,6 +84,65 @@ class TestCells:
         column = np.repeat([0.1, -0.0, 7.5], 3000).astype(">f8")
         assert cells(column) == reprs(column)
 
+    # orjson formats numbers from an array's bytes; every float outside
+    # 1e-4 <= |x| < 1e16 (and x != 0) is formatted by repr
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.integers(-2**63, 2**63, 10**6, np.int64).view(np.float64),
+        lambda rng: rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-6, 18, 200_000),
+    ], ids=["bit-patterns", "log-uniform"])
+    def test_random_column(self, draw):
+        column = draw(np.random.default_rng(20241016))
+        assert not table._repeats(column)
+        assert cells(column) == reprs(column)
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e16])
+    def test_window_edges(self, edge):
+        near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+        column = np.array(near + [-x for x in near])
+        assert cells(column) == reprs(column)
+
+    def test_extreme_floats(self):
+        info = np.finfo(np.float64)
+        column = np.array([info.smallest_subnormal, -info.smallest_subnormal, 2.5e-310,
+                           info.tiny, -info.tiny, info.max, -info.max, 0.0, -0.0,
+                           np.nan, np.inf, -np.inf])
+        assert cells(column) == reprs(column)
+
+    @pytest.mark.parametrize("column", [
+        np.array([0.1, 2.0 / 3.0, 1e-5, 12.5, 1e22, -0.0, np.inf], ">f8"),
+        np.arange(3, dtype=">i8"),
+        np.arange(-5, 5, dtype=">i4") * 100_003,
+    ], ids=[">f8", ">i8", ">i4"])
+    def test_big_endian_distinct_column(self, column):
+        assert cells(column) == naive_cells(column)
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("dtype", ["i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8"])
+    def test_int_extremes(self, dtype, order):
+        info = np.iinfo(dtype)
+        column = np.array([info.min, info.min + 1, 0, 1, info.max - 1, info.max],
+                          dtype).astype(order + dtype)
+        assert cells(column) == naive_cells(column)
+
+    def test_float32_widens_exactly(self):
+        column = np.array([0.1, 1.0 / 3.0, 1e-5, 3e38, -0.0, np.nan], np.float32)
+        assert cells(column) == reprs(column)
+        assert cells(column)[0] == "0.10000000149011612"
+
+    @pytest.mark.parametrize("column", [
+        np.linspace(-1.0, 1e17, 3001)[::3],
+        np.arange(0, 90, dtype=np.int64)[::3],
+        (np.arange(60) % 3 == 0)[::2],
+    ], ids=["float", "int", "bool"])
+    def test_strided_distinct_column(self, column):
+        assert not column.flags.c_contiguous
+        assert cells(column) == naive_cells(column)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.bool_])
+    def test_empty_column(self, dtype):
+        assert cells(np.array([], dtype)) == []
+
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 1e308, -2.5e-310, math.nan, math.inf]),
                     min_size=1, max_size=300))
     def test_any_mix(self, values):
