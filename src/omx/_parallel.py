@@ -7,18 +7,21 @@ that a command writing small tables neither loads nor compiles it.
 from __future__ import annotations
 
 import fcntl
-import io
 import os
 import signal
 import struct
 import tempfile
 import termios
 
-from .table import _write
+from .table import _texts, _write
 
 # A table is cut into at most this many jobs, so that their two-byte numbers
 # fit one page, the least a pipe holds.
 _JOBS = 2048
+
+# A child's spool is a run of records: a job's number and the size of its
+# text in bytes, then that text.
+_HEADER = struct.Struct("2Q")
 
 
 def emit(pieces: list, fh, n: int) -> None:
@@ -27,44 +30,47 @@ def emit(pieces: list, fh, n: int) -> None:
     This process writes jobs straight to ``fh`` from the first on, while its
     forked children take jobs one at a time from the end of a shared queue,
     so a process on a CPU that other work slows down takes fewer. A child
-    appends the text of each job it takes to its spool, an unnamed temporary
-    file, and reports it. Where the two ends meet, this process empties the
-    queue and copies the children's jobs to ``fh`` in order. A job whose child
-    failed before reporting it is encoded here, so a fault in the encoding is
-    raised here and a full temporary directory costs time, not the output.
-    No child outlives the call, whatever it raises."""
+    appends each job it takes, as a record, to its spool, an unnamed
+    temporary file. Where the two ends meet, this process empties the queue,
+    waits for the children to exit and copies their jobs to ``fh`` in order.
+    A job with no whole record (its child failed, or none took it) is encoded
+    here, so a fault in the encoding is raised here and a full temporary
+    directory costs time, not the output. No child outlives the call,
+    whatever it raises."""
     jobs = _parts(pieces, _JOBS)
     spools, children, queue = [], [], None
     try:
-        queue = _Queue(len(jobs))
+        queue = _queue(len(jobs))
         for _ in range(n - 1):
             child = _fork(jobs, queue, fh)
             if child is None:
                 break
             children.append(child[0])
             spools.append(child[1])
-        queue.close_reports()
         done = 0
-        while done < queue.untaken():
+        while done < _untaken(queue):
             _write(jobs[done], fh)
             done += 1
-        queue.drain()
+        os.read(queue, 2 * _JOBS)  # take every job left: each child stops after its current one
+        while children:
+            os.waitpid(children[-1], 0)
+            children.pop()
         where = {}  # job -> (file descriptor, offset, size) in a child's spool
+        for spool in spools:
+            where.update(_index(spool.fileno()))
         for job in range(done, len(jobs)):
-            while job not in where and queue.collect(where):
-                pass
             if job in where:
-                _copy(*where.pop(job), fh)
+                _copy(*where[job], fh)
             else:
-                _write(jobs[job], fh)  # every child has exited, and none wrote it
+                _write(jobs[job], fh)
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if queue:
-            queue.close()
-        for s in spools:
-            s.close()
+        if queue is not None:
+            os.close(queue)
+        for spool in spools:
+            spool.close()
 
 
 def _parts(pieces: list, n: int) -> list:
@@ -80,6 +86,36 @@ def _parts(pieces: list, n: int) -> list:
     return parts
 
 
+def _queue(jobs: int) -> int:
+    """The read end of a pipe holding the numbers of ``jobs`` jobs, last
+    first; its write end is closed, so a read past the last number ends."""
+    todo, todo_w = os.pipe()
+    # at most _JOBS two-byte numbers: one write, which any pipe takes whole
+    os.write(todo_w, struct.pack(f"{jobs}H", *reversed(range(jobs))))
+    os.close(todo_w)
+    return todo
+
+
+def _untaken(queue: int) -> int:
+    """How many jobs no child has taken: always the first ones."""
+    size = fcntl.ioctl(queue, termios.FIONREAD, bytes(4))
+    return struct.unpack("i", size)[0] // 2
+
+
+def _index(fd: int) -> dict:
+    """job -> (``fd``, offset, size) of the text of each whole record in the
+    spool ``fd``; a record cut short, by a child killed as it wrote, ends it."""
+    where, offset, end = {}, 0, os.fstat(fd).st_size
+    while offset + _HEADER.size <= end:
+        job, size = _HEADER.unpack(os.pread(fd, _HEADER.size, offset))
+        offset += _HEADER.size
+        if offset + size > end:
+            break
+        where[job] = fd, offset, size
+        offset += size
+    return where
+
+
 def _copy(fd: int, offset: int, size: int, fh) -> None:
     """Append ``size`` bytes of the file ``fd`` from ``offset`` to ``fh``,
     64 KiB at a time, without moving the file's position."""
@@ -93,86 +129,16 @@ def _copy(fd: int, offset: int, size: int, fh) -> None:
         size -= len(block)
 
 
-class _Queue:
-    """The numbers of a table's jobs, which the children take last-first
-    while their parent writes from the first, and the reports of the jobs the
-    children have appended to their spools. Made before the children are
-    forked; only their parent reads the reports."""
-
-    def __init__(self, jobs: int):
-        # at most _JOBS two-byte numbers: one write, which any pipe takes whole
-        self.todo, todo_w = os.pipe()
-        os.write(todo_w, struct.pack(f"{jobs}H", *reversed(range(jobs))))
-        os.close(todo_w)
-        self.done, self.report_w = os.pipe()
-
-    def take(self):
-        """The number of the last job not taken, or None."""
-        number = os.read(self.todo, 2)
-        return struct.unpack("H", number)[0] if number else None
-
-    def untaken(self) -> int:
-        """How many jobs no child has taken: always the first ones."""
-        size = fcntl.ioctl(self.todo, termios.FIONREAD, bytes(4))
-        return struct.unpack("i", size)[0] // 2
-
-    def drain(self) -> None:
-        """Take every job left, so that each child stops after its current one."""
-        os.read(self.todo, 2 * _JOBS)
-
-    def report(self, job: int, fd: int, offset: int, size: int) -> None:
-        os.write(self.report_w, struct.pack("4q", job, fd, offset, size))
-
-    def close_reports(self) -> None:
-        """Close this process's end for reports, so that reading them ends
-        once every child has exited."""
-        os.close(self.report_w)
-        self.report_w = None
-
-    def collect(self, where: dict) -> bool:
-        """Wait for reports and enter them into ``where``; False once every
-        child has exited."""
-        records = os.read(self.done, 4096)  # whole records: each is written at once
-        for job, *place in struct.iter_unpack("4q", records):
-            where[job] = place
-        return bool(records)
-
-    def close(self) -> None:
-        for fd in (self.todo, self.done, self.report_w):
-            if fd is not None:
-                os.close(fd)
-
-
-class _Spool:
-    """An unnamed temporary file that one process appends the text of its
-    jobs to, in the encoding of ``fh``."""
-
-    def __init__(self, fh):
-        self.file = tempfile.TemporaryFile()
-        self.text = io.TextIOWrapper(self.file, fh.encoding, fh.errors, newline="")
-        self.end = 0
-
-    def append(self, job: list) -> tuple:
-        """(file descriptor, offset, size) of the bytes of ``job``'s text."""
-        _write(job, self.text)
-        self.text.flush()
-        start, self.end = self.end, self.file.tell()
-        return self.file.fileno(), start, self.end - start
-
-    def close(self) -> None:
-        self.text.close()
-
-
-def _fork(jobs: list, queue: _Queue, fh):
+def _fork(jobs: list, queue: int, fh):
     """(pid, spool) of a forked child that takes jobs from ``queue`` until
-    none is left, appends each to its spool and reports it; None where no
-    spool or process can be made. A forked child reads the columns in place,
-    where a spawned one would import numpy and receive a copy. Whatever it
-    raises, the child leaves with ``os._exit``: it never returns into its
-    parent's code, runs no exit handler, prints no traceback and flushes
-    nothing of its parent's."""
+    none is left and appends each to its spool, in the encoding of ``fh``;
+    None where no spool or process can be made. A forked child reads the
+    columns in place, where a spawned one would import numpy and receive a
+    copy. Whatever it raises, the child leaves with ``os._exit``: it never
+    returns into its parent's code, runs no exit handler, prints no traceback
+    and flushes nothing of its parent's."""
     try:
-        spool = _Spool(fh)
+        spool = tempfile.TemporaryFile()
     except OSError:
         return None
     try:
@@ -183,8 +149,11 @@ def _fork(jobs: list, queue: _Queue, fh):
     if pid == 0:
         status = 1
         try:
-            while (job := queue.take()) is not None:
-                queue.report(job, *spool.append(jobs[job]))
+            while number := os.read(queue, 2):
+                job = struct.unpack("H", number)[0]
+                text = "".join(_texts(jobs[job])).encode(fh.encoding, fh.errors)
+                spool.write(_HEADER.pack(job, len(text)) + text)
+                spool.flush()
             status = 0
         finally:
             os._exit(status)

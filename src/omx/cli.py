@@ -262,6 +262,7 @@ def _cmd_omit_map(args) -> tuple:
 def _cmd_pulse_sim(args) -> tuple:
     from . import pulsed
 
+    core._check("pulses", args.pulses, within=(1, _MAX_ROWS * pulsed.BLOCK_PULSES))
     device = _load_device(args.device)
     kernel = _load_kernel(args.kernel)
     tau = args.tau_ns * 1e-9
@@ -295,6 +296,8 @@ def _cmd_pulse_sim(args) -> tuple:
         except ValueError:
             raise ValueError(f"{flag} {value!r} gives {mean:.3g} counts per pulse, "
                              "beyond the Poisson sampler's range") from None
+    core._check("pulses x counts per pulse", args.pulses * (side + chain.dark_per_pulse),
+                within=(0, _MAX_ROWS))
     clicks = pulsed.simulate_clicks(device, train, chain, kernel, n_c,
                                     seed=args.seed, workers=args.workers)
     return pulsed.click_columns(clicks), None

@@ -112,11 +112,16 @@ def write_table(columns: dict, out=None, fmt: str = "csv") -> None:
     """Write equal-length named columns as "csv" or "json" to ``out`` (stdout if None).
 
     A large table is encoded by up to one process per CPU this process may
-    use; the bytes are the same for any number.
+    use; the bytes are the same for any number. A complex column, or a float
+    column wider than float64, raises ``ValueError`` and nothing is written.
     """
     cols = {name: np.asarray(col) for name, col in columns.items()}
     if any(c.ndim != 1 for c in cols.values()) or len({c.size for c in cols.values()}) > 1:
         raise ValueError("table columns must be 1-d and of equal length")
+    for name, c in cols.items():
+        # read_table parses neither "(1+2j)" nor more digits than a float64's
+        if c.dtype.kind == "c" or (c.dtype.kind == "f" and c.dtype.itemsize > 8):
+            raise ValueError(f"column {name!r} is {c.dtype}, which read_table cannot read back")
     if fmt == "json":
         for name, c in cols.items():
             if c.dtype.kind == "f" and not np.isfinite(c).all():
@@ -197,9 +202,13 @@ def _processes(pieces: list, fh) -> int:
                sum(cells > 0 for cells, _ in pieces))
 
 
+def _texts(part: list):
+    """The text of each piece of ``part``, encoded as it is reached."""
+    return (text if isinstance(text, str) else text() for _, text in part)
+
+
 def _write(part: list, fh) -> None:
-    for _, text in part:
-        fh.write(text if isinstance(text, str) else text())
+    fh.writelines(_texts(part))  # drops each text before the next is encoded
 
 
 def read_table(path, header=None, types=None) -> dict:

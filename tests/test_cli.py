@@ -459,6 +459,9 @@ CLICK_FLAGS = ["--blue", "no-blue.csv", "--red", "no-red.csv", "--pulses", "100"
     (["histogram", *CLICK_FLAGS, "--bin-ns", "5e-324"], "window-ns / bin-ns must be finite"),
     (["histogram", *CLICK_FLAGS, "--bin-ns", "0"], "bin-ns must be positive"),
     (["histogram", *CLICK_FLAGS, "--window-ns", "-80"], "window-ns must be positive"),
+    (["pulse-sim", "--pulses", str(10**20)], "pulses must lie in [1, 655360000000]"),
+    (["pulse-sim", "--pulses", str(10**11), "--dark-rate", "1e9"],
+     "pulses x counts per pulse must lie in [0, 10000000]"),
 ])
 def test_size_beyond_the_cap_names_the_flag(capsys, argv, text):
     """Checked against one row cap before anything of that size is allocated

@@ -159,6 +159,30 @@ class TestCsv:
         table.write_table(columns, path)
         assert_same_text(path.read_text(), naive_csv(columns))
 
+    @pytest.mark.parametrize("out", ["file", "stdout"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("dtype", [
+        np.complex64, np.complex128,
+        pytest.param(np.longdouble, marks=pytest.mark.skipif(
+            np.dtype(np.longdouble).itemsize <= 8, reason="long double is float64 here")),
+    ])
+    def test_column_read_table_cannot_read_back_is_not_written(self, tmp_path, capsys,
+                                                              dtype, fmt, out):
+        """A complex cell would be "(1+2j)" and a long double would lose its
+        digits: neither is written, and the output is never opened."""
+        path = tmp_path / "t"
+        with pytest.raises(ValueError, match=f"column 'z' is {np.dtype(dtype)}"):
+            table.write_table({"ok": np.arange(3), "z": np.arange(3).astype(dtype) / 3},
+                              path if out == "file" else None, fmt)
+        assert not path.exists() and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_narrow_float_column_widens_exactly(self, tmp_path, dtype):
+        column = (np.arange(-5, 6) / 3).astype(dtype)
+        path = tmp_path / "t.csv"
+        table.write_table({"x": column}, path)
+        assert table.read_table(path)["x"].tobytes() == column.astype(np.float64).tobytes()
+
 
 def json_bytes(columns: dict) -> str:
     return json.dumps({k: np.asarray(v).tolist() for k, v in columns.items()}, indent=2) + "\n"
@@ -211,6 +235,41 @@ def wide_table() -> dict:
             "label": np.array(LABELS)[index % 3]}
 
 
+class RecordedSpool:
+    """A child's spool: its temporary file, and the writes this process makes
+    to it."""
+
+    def __init__(self, file):
+        self.file, self.writes = file, []
+
+    def write(self, data):
+        self.writes.append(data)
+        return self.file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+
+def spool_record(job: int, text: bytes) -> bytes:
+    return _parallel._HEADER.pack(job, len(text)) + text
+
+
+@pytest.mark.parametrize("tail", [b"", b"\x07" * 9, spool_record(5, b"x" * 100)[:-1]],
+                         ids=["whole", "cut header", "cut text"])
+def test_spool_index_gives_the_whole_records(tmp_path, tail):
+    """A child killed as it writes leaves a record cut short at the end of
+    its spool: the records before it are indexed, and it is left out."""
+    path = tmp_path / "spool"
+    path.write_bytes(spool_record(3, b"abc") + spool_record(0, b"")
+                     + spool_record(1, "\u00e9\n".encode()) + tail)
+    with open(path, "rb") as fh:
+        fd = fh.fileno()
+        assert _parallel._index(fd) == {3: (fd, 16, 3), 0: (fd, 35, 0), 1: (fd, 51, 3)}
+    path.write_bytes(tail)
+    with open(path, "rb") as fh:
+        assert _parallel._index(fh.fileno()) == {}
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                     reason="a table is split only where the CPUs a process may use are known")
 class TestProcesses:
@@ -228,13 +287,14 @@ class TestProcesses:
 
     @pytest.fixture
     def spools(self, monkeypatch):
-        """The spools this process makes."""
-        made, init = [], _parallel._Spool.__init__
+        """The spools this process makes, each recording the writes made to it
+        by this process (a child's writes change only the child's copy)."""
+        made, temporary = [], _parallel.tempfile.TemporaryFile
 
-        def record(spool, fh):
-            init(spool, fh)
-            made.append(spool)
-        monkeypatch.setattr(_parallel._Spool, "__init__", record)
+        def record():
+            made.append(RecordedSpool(temporary()))
+            return made[-1]
+        monkeypatch.setattr(_parallel.tempfile, "TemporaryFile", record)
         return made
 
     @staticmethod
@@ -307,6 +367,36 @@ class TestProcesses:
         columns = wide_table()
         table.write_table(columns, tmp_path / "t.csv")
         assert len(forks) == 3
+        assert capfd.readouterr().err == ""
+        assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cut", [lambda record: 8, lambda record: len(record) // 2],
+                             ids=["header", "text"])
+    def test_part_of_a_child_killed_mid_record_is_encoded_here(self, tmp_path, monkeypatch,
+                                                              capfd, forks, spools, cut):
+        """Each child writes part of its first record and kills itself; the
+        jobs the children took are encoded here."""
+        parent, chunk, killed = os.getpid(), table._csv_chunk, tmp_path / "killed"
+
+        def half_record(spool, record):
+            if os.getpid() != parent:
+                spool.file.write(record[:cut(record)])
+                spool.file.flush()
+                killed.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return spool.file.write(record)
+        monkeypatch.setattr(RecordedSpool, "write", half_record)
+
+        def slow_here(*args):
+            if os.getpid() == parent and args[2] == 0:
+                time.sleep(0.5)  # so that the children take jobs
+            return chunk(*args)
+        monkeypatch.setattr(table, "_csv_chunk", slow_here)
+        columns = wide_table()
+        table.write_table(columns, tmp_path / "t.csv")
+        assert len(forks) == 3 and killed.exists()
         assert capfd.readouterr().err == ""
         assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
         with pytest.raises(ChildProcessError):
@@ -409,16 +499,10 @@ class TestProcesses:
     def test_one_spool_per_child_and_none_here(self, tmp_path, monkeypatch, forks, spools):
         """This process writes its jobs straight to the output: it makes a
         spool only for each child it forks, and appends to none."""
-        parent, append, appended = os.getpid(), _parallel._Spool.append, []
-
-        def append_here(spool, job):
-            if os.getpid() == parent:
-                appended.append(job)
-            return append(spool, job)
-        monkeypatch.setattr(_parallel._Spool, "append", append_here)
         columns = wide_table()
         table.write_table(columns, tmp_path / "t.csv")
         assert len(spools) == len(forks) == 3
+        appended = [write for spool in spools for write in spool.writes]
         assert appended == [] and all(spool.file.closed for spool in spools)
         assert_same_text((tmp_path / "t.csv").read_text(), naive_csv(columns))
 
