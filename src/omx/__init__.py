@@ -53,7 +53,7 @@ _EXPORTS = {
 }
 # resolved too, so ``omx.pulsed`` works after a bare ``import omx`` as it did
 # when the package imported every submodule
-_SUBMODULES = frozenset({*_EXPORTS.values(), "table", "cli"})
+_SUBMODULES = frozenset({*_EXPORTS.values(), "table", "spec", "cli"})
 
 __all__ = [*_EXPORTS, "__version__"]
 

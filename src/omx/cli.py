@@ -6,8 +6,9 @@ the fitting helpers. Frequencies on the command line and in every file are
 cyclic Hz (times in ns, lengths in nm); conversion to the angular units used
 internally happens here and only here.
 
-Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error, 141 when
-the reader of stdout closes it early (128 + SIGPIPE, as GNU tools report).
+Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error, 130 on
+Ctrl-C and 141 when the reader of stdout closes it early (128 + SIGINT and
+128 + SIGPIPE, as shells and GNU tools report).
 
 Flags may also be supplied through ``--config FILE`` (line-oriented
 ``key = value`` text, ``#`` comments); explicit flags win over the config
@@ -34,11 +35,9 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
-# spectra, pulsed, geometry and fitkit are imported by the handlers that use
-# them, so each command loads only what it runs
-from . import __version__, core, table
+# numpy and the other omx modules are imported by the handlers that use them:
+# a command loads only what it runs, and parsing or listing presets loads no numpy
+from . import __version__
 from .constants import angular_to_hz, hz_to_angular
 
 __all__ = ["main", "build_parser"]
@@ -102,38 +101,40 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
 # --- shared loaders ----------------------------------------------------------
 
 
-def _load_device(label: str) -> core.Device:
-    return core.load_device(label, search_dir=_preset_dir())
+def _load_device(label: str) -> spec.Device:
+    from . import spec
+
+    return spec.load_device(label, search_dir=_preset_dir())
 
 
-_HEATING_PRESETS = {"default": core.DEFAULT_HEATING, "zero": core.ZERO_HEATING}
+def _load_heating(name: str) -> spec.HeatingParams:
+    from . import spec
 
-
-def _load_heating(spec: str) -> core.HeatingParams:
-    return core._resolve("heating", spec, _HEATING_PRESETS, lambda data: core.HeatingParams(
-        n_th0=core._number(data, "n_th0"),
-        alpha_sat=core._number(data, "alpha_sat", 0.0),
-        beta_sat=core._number(data, "beta_sat", 0.0),
-        alpha_lin=core._number(data, "alpha_lin", 0.0),
+    presets = {"default": spec.DEFAULT_HEATING, "zero": spec.ZERO_HEATING}
+    return spec._resolve("heating", name, presets, lambda data: spec.HeatingParams(
+        n_th0=spec._number(data, "n_th0"),
+        alpha_sat=spec._number(data, "alpha_sat", 0.0),
+        beta_sat=spec._number(data, "beta_sat", 0.0),
+        alpha_lin=spec._number(data, "alpha_lin", 0.0),
     ))
 
 
-def _load_kernel(spec: str) -> pulsed.HeatingKernel:
-    from . import pulsed
+def _load_kernel(name: str) -> pulsed.HeatingKernel:
+    from . import pulsed, spec
 
     presets = {"default": pulsed.default_kernel(),
                "zero": pulsed.HeatingKernel(delta=0.0, tau_th=0.0, n_base=0.0)}
-    return core._resolve("kernel", spec, presets, lambda data: pulsed.HeatingKernel(
-        delta=core._number(data, "delta"),
-        tau_th=core._number(data, "tau_th_us") * 1e-6,
-        n_base=core._number(data, "n_base", 0.0),
+    return spec._resolve("kernel", name, presets, lambda data: pulsed.HeatingKernel(
+        delta=spec._number(data, "delta"),
+        tau_th=spec._number(data, "tau_th_us") * 1e-6,
+        n_base=spec._number(data, "n_base", 0.0),
     ))
 
 
-def _load_design(spec: str) -> geometry.DesignParams:
-    from . import geometry
+def _load_design(name: str) -> geometry.DesignParams:
+    from . import geometry, spec
 
-    return core._resolve("design", spec, geometry.DESIGN_PRESETS, geometry.design_from_json,
+    return spec._resolve("design", name, geometry.DESIGN_PRESETS, geometry.design_from_json,
                          _preset_dir())
 
 
@@ -143,14 +144,16 @@ def _load_design(spec: str) -> geometry.DesignParams:
 
 
 def _cmd_device(args) -> tuple:
+    from . import spec
+
     if args.action == "list":
-        labels = sorted(core.DEVICE_PRESETS)
+        labels = sorted(spec.DEVICE_PRESETS)
         directory = _preset_dir()
         if directory is not None and Path(directory).is_dir():
             for p in sorted(Path(directory).glob("*.json")):
                 if p.stem not in labels:  # listed only if it reads as a device
                     with contextlib.suppress(OSError, ValueError):
-                        core._spec_file(p, core.device_from_json)
+                        spec._spec_file(p, spec.device_from_json)
                         labels.append(p.stem)
         for label in labels:
             print(label)
@@ -158,6 +161,8 @@ def _cmd_device(args) -> tuple:
     if args.label is None:
         raise ValueError(f"device {args.action} requires a preset label")
     device = _load_device(args.label)
+    from . import core, table
+
     if args.action == "show":
         optical, mech = device.optical, device.mechanical
         rows = [
@@ -189,6 +194,10 @@ def _cmd_device(args) -> tuple:
 
 
 def _cmd_cool_curve(args) -> tuple:
+    import numpy as np
+
+    from . import core
+
     device = _load_device(args.device)
     heating = _load_heating(args.heating)
     core._check("nc-min", args.nc_min)
@@ -207,6 +216,8 @@ def _cmd_cool_curve(args) -> tuple:
 def _grid_hz(flag: str, lo: float, hi: float, points: int) -> np.ndarray:
     """``points`` cyclic frequencies from ``lo`` to ``hi``. The ends and the step
     must stay finite in rad/s: a grid of inf or nan is a usage error."""
+    import numpy as np
+
     if not all(map(math.isfinite, (hz_to_angular(lo), hz_to_angular(hi),
                                    hz_to_angular(hi - lo)))):
         raise ValueError(f"{flag} gives a grid beyond the float range "
@@ -214,7 +225,9 @@ def _grid_hz(flag: str, lo: float, hi: float, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-def _probe_grid(device: core.Device, span_hz: float, points: int) -> np.ndarray:
+def _probe_grid(device: spec.Device, span_hz: float, points: int) -> np.ndarray:
+    from . import core
+
     core._check("span-hz", span_hz, positive=True)
     core._check("points", points, within=(2, _MAX_ROWS))
     f_m = angular_to_hz(device.mechanical.omega_m)
@@ -223,7 +236,7 @@ def _probe_grid(device: core.Device, span_hz: float, points: int) -> np.ndarray:
 
 
 def _cmd_omit(args) -> tuple:
-    from . import spectra
+    from . import core, spectra
 
     device = _load_device(args.device)
     if args.detuning_hz is None:
@@ -236,7 +249,9 @@ def _cmd_omit(args) -> tuple:
 
 
 def _cmd_omit_map(args) -> tuple:
-    from . import spectra
+    import numpy as np
+
+    from . import core, spectra
 
     device = _load_device(args.device)
     f_m = angular_to_hz(device.mechanical.omega_m)
@@ -260,7 +275,9 @@ def _cmd_omit_map(args) -> tuple:
 
 
 def _cmd_pulse_sim(args) -> tuple:
-    from . import pulsed
+    import numpy as np
+
+    from . import core, pulsed
 
     core._check("pulses", args.pulses, within=(1, _MAX_ROWS * pulsed.BLOCK_PULSES))
     device = _load_device(args.device)
@@ -304,7 +321,7 @@ def _cmd_pulse_sim(args) -> tuple:
 
 
 def _cmd_estimate(args) -> tuple:
-    from . import pulsed
+    from . import core, pulsed
 
     core._check("pulses", args.pulses, ge=1)
     blue = pulsed.read_clicks_csv(args.blue)
@@ -321,7 +338,7 @@ def _cmd_estimate(args) -> tuple:
 
 
 def _cmd_histogram(args) -> tuple:
-    from . import pulsed
+    from . import core, pulsed
 
     core._check("window-ns", args.window_ns, positive=True)
     core._check("bin-ns", args.bin_ns, positive=True)
@@ -336,7 +353,7 @@ def _cmd_histogram(args) -> tuple:
 
 
 def _cmd_taper(args) -> tuple:
-    from . import geometry
+    from . import core, geometry
 
     design = _load_design(args.device)
     core._check("cells", args.cells, within=(1, _MAX_ROWS))
@@ -344,7 +361,7 @@ def _cmd_taper(args) -> tuple:
     return geometry.schedule_columns(schedule), None
 
 
-def _resolve_rates(args, device: core.Device | None):
+def _resolve_rates(args, device: spec.Device | None):
     kappa = None if args.kappa_hz is None else hz_to_angular(args.kappa_hz)
     gamma0 = None if args.gamma0_hz is None else hz_to_angular(args.gamma0_hz)
     if device is not None:
@@ -356,7 +373,7 @@ def _resolve_rates(args, device: core.Device | None):
 
 
 def _cmd_fit(args) -> tuple:
-    from . import fitkit
+    from . import core, fitkit, table
 
     out: dict = {"fit": args.kind}
     if args.kind in ("lorentzian", "fano"):
@@ -388,7 +405,8 @@ def _cmd_fit(args) -> tuple:
         if "n_c" not in data or "n_m" not in data:
             raise ValueError("heating fit input needs columns n_c,n_m")
         device = _load_device(args.device if args.device is not None else "A")
-        n_th0 = None if args.n_th0 == "free" else float(args.n_th0)
+        n_th0 = (core.DEFAULT_HEATING.n_th0 if args.n_th0 is None
+                 else None if args.n_th0 == "free" else float(args.n_th0))
         result = fitkit.fit_heating_params(data["n_c"], data["n_m"], device,
                                            n_th0=n_th0)
         angular = ()
@@ -505,8 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device")
     p.add_argument("--kappa-hz", type=float)
     p.add_argument("--gamma0-hz", type=float)
-    p.add_argument("--n-th0", default=repr(core.DEFAULT_HEATING.n_th0),
-                   help="fixed base occupancy or 'free'")
+    p.add_argument("--n-th0", help="fixed base occupancy or 'free'")
     p.add_argument("--out")
 
     return parser
@@ -533,10 +550,13 @@ def main(argv=None) -> int:
         if missing:
             raise ValueError(f"missing required flag(s): {', '.join(missing)}")
         output, failure = args._func(args)
-        if "format" in args:
-            table.write_table(output, args.out, args.format)
-        elif output is not None:
-            table.write_json(output, args.out)
+        if output is not None:
+            from . import table
+
+            if "format" in args:
+                table.write_table(output, args.out, args.format)
+            else:
+                table.write_json(output, args.out)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         if failure is not None:
             print(f"error: {failure}", file=sys.stderr)
@@ -546,6 +566,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except KeyboardInterrupt:  # Ctrl-C: the shell's SIGINT status, and no traceback
+        return 130
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
@@ -553,12 +575,13 @@ def main(argv=None) -> int:
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)  # numeric failure; LinAlgError is a ValueError
+    except (RuntimeError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # numeric failure
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        linalg = sys.modules.get("numpy.linalg")  # its LinAlgError is a numeric failure
+        return 1 if linalg is not None and isinstance(exc, linalg.LinAlgError) else 2
     finally:
         warnings.formatwarning = formatwarning
 

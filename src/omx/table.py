@@ -16,6 +16,7 @@ Each file layout lives next to its type (``pulsed.click_columns``,
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -192,11 +193,13 @@ def _processes(pieces: list, fh) -> int:
     """One process per ``_CELLS_PER_PROCESS`` float cells, up to the CPUs this
     process may use and the pieces with float cells; one where that is
     unknown (no ``sched_getaffinity``), where another Python thread runs
-    (threads of native libraries are not seen) or where ``fh`` has no byte
-    buffer to copy to."""
+    (threads of native libraries are not seen), where ``fh`` has no byte
+    buffer to copy to or where its encoding is not UTF-8: a child encodes each
+    job on its own, and a UTF-16 or ``utf-8-sig`` text would start with a BOM."""
     cells = sum(cells for cells, _ in pieces)
     if (cells < 2 * _CELLS_PER_PROCESS or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1 or not hasattr(fh, "buffer")):
+            or threading.active_count() > 1 or not hasattr(fh, "buffer")
+            or codecs.lookup(fh.encoding).name != "utf-8"):
         return 1
     return min(len(os.sched_getaffinity(0)), cells // _CELLS_PER_PROCESS,
                sum(cells > 0 for cells, _ in pieces))

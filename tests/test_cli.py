@@ -558,6 +558,15 @@ def test_out_of_memory_is_a_numeric_failure(capsys, monkeypatch):
     assert err == "error: Unable to allocate 251. TiB for an array\n"
 
 
+def test_interrupt_exits_130_without_a_traceback(capsys, monkeypatch):
+    """Ctrl-C ends a command with the shell's SIGINT status and nothing on stderr."""
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(omx.cli, "_cmd_cool_curve", interrupted)
+    assert run(capsys, "cool-curve", "--points", "20") == (130, "", "")
+
+
 @pytest.mark.parametrize("argv,warning", [
     (["pulse-sim", "--pulses", "10", "--peak-power", "1e-3"],
      "scattering probability 6.618 > 0.2; linearized per-pulse picture is marginal"),

@@ -20,9 +20,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports the modules named after the JSON argument, then ``omx``, then runs the
 # commands given as a JSON list of argv lists, in one fresh interpreter; prints
-# the exit codes, what was loaded on the way (``numpy.ma`` and ``orjson`` among
-# it), the OS threads left at the end (Linux only) and the environment
-# variables that changed.
+# the exit codes, what was loaded on the way (``numpy``, ``numpy.ma`` and
+# ``orjson`` among it), the OS threads left at the end (Linux only) and the
+# environment variables that changed.
 SCRIPT = """
 import importlib, json, os, sys, time
 environ = dict(os.environ)
@@ -45,13 +45,15 @@ changed = {k: os.environ.get(k) for k in environ.keys() | os.environ.keys()
            if os.environ.get(k) != environ.get(k)}
 print(json.dumps({"import_omx": after_import, "codes": codes, "omx": loaded("omx"),
                   "scipy": loaded("scipy"), "futures": "concurrent.futures" in sys.modules,
-                  "numpy_ma": "numpy.ma" in sys.modules,
+                  "numpy": "numpy" in sys.modules, "numpy_ma": "numpy.ma" in sys.modules,
                   "orjson": "orjson" in sys.modules,
                   "threads": threads, "environ_changed": changed}))
 """
 
 # what ``from omx.cli import main`` loads before any command runs
-CLI_MODULES = ["omx", "omx.cli", "omx.constants", "omx.core", "omx.table"]
+CLI_MODULES = ["omx", "omx.cli", "omx.constants"]
+# what every command that computes adds to it
+COMPUTE = ["omx.core", "omx.spec", "omx.table"]
 # what writing a table large enough to split adds, where it is split
 SPLIT = (["omx._parallel"] if hasattr(os, "sched_getaffinity")
          and len(os.sched_getaffinity(0)) > 1 else [])
@@ -119,19 +121,21 @@ def test_import_omx_loads_no_submodule():
 
 # the last field: whether the command writes a table, which alone loads orjson
 @pytest.mark.parametrize("argv, extra, futures, orjson", [
-    (["device", "list"], [], False, False),
-    (["cool-curve", "--points", "20"], [], False, True),
-    (["cool-curve", "--points", "100000"], SPLIT, False, True),  # 500k float cells
-    (["omit", "--nc", "100", "--points", "51"], ["omx.spectra"], False, True),
-    (["pulse-sim", "--pulses", "2000", "--workers", "1"], ["omx.pulsed"], False, True),
-    (["pulse-sim", "--pulses", "70000", "--workers", "2"], ["omx.pulsed"], True, True),  # 2 blocks
-    (["taper", "--cells", "17"], ["omx.geometry"], False, True),
-    (["fit", "lorentzian", "--in", "{trace}"], ["omx.fitkit", "omx.spectra"], False, False),
-    (["fit", "fano", "--in", "{fano}"], ["omx.fitkit", "omx.spectra"], False, False),
+    (["device", "list"], ["omx.spec"], False, False),
+    (["cool-curve", "--points", "20"], COMPUTE, False, True),
+    (["cool-curve", "--points", "100000"], COMPUTE + SPLIT, False, True),  # 500k float cells
+    (["omit", "--nc", "100", "--points", "51"], COMPUTE + ["omx.spectra"], False, True),
+    (["pulse-sim", "--pulses", "2000", "--workers", "1"], COMPUTE + ["omx.pulsed"], False, True),
+    (["pulse-sim", "--pulses", "70000", "--workers", "2"],  # 2 blocks
+     COMPUTE + ["omx.pulsed"], True, True),
+    (["taper", "--cells", "17"], COMPUTE + ["omx.geometry"], False, True),
+    (["fit", "lorentzian", "--in", "{trace}"], COMPUTE + ["omx.fitkit", "omx.spectra"],
+     False, False),
+    (["fit", "fano", "--in", "{fano}"], COMPUTE + ["omx.fitkit", "omx.spectra"], False, False),
     (["histogram", "--blue", "{blue}", "--red", "{red}", "--pulses", "100"],
-     ["omx.pulsed"], False, True),
+     COMPUTE + ["omx.pulsed"], False, True),
     (["estimate", "--blue", "{blue}", "--red", "{red}", "--pulses", "100"],
-     ["omx.pulsed"], False, False),
+     COMPUTE + ["omx.pulsed"], False, False),
 ], ids=["device", "cool-curve", "cool-curve-split", "omit", "pulse-sim", "pulse-sim-pooled",
         "taper", "fit", "fit-fano", "histogram", "estimate"])
 def test_each_command_loads_only_what_it_runs(trace, fano_trace, clicks, argv, extra, futures,
@@ -142,6 +146,25 @@ def test_each_command_loads_only_what_it_runs(trace, fano_trace, clicks, argv, e
     assert result["futures"] is futures  # the thread pool only for a pooled run
     assert not result["numpy_ma"]  # as np.unique without index outputs and np.median do
     assert result["orjson"] is orjson
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["device", "list"], 0),
+    (["--version"], 0),
+    (["--help"], 0),
+    (["cool-curve", "--help"], 0),
+    (["cool-curve", "--bogus"], 2),
+    (["omit"], 2),  # no --nc
+    (["cool-curve", "--config", "{config}"], 2),  # points = many
+], ids=["device-list", "version", "help", "command-help", "unknown-flag", "missing-flag",
+        "config-value"])
+def test_a_command_that_computes_nothing_loads_no_numpy(tmp_path, argv, code):
+    config = tmp_path / "bad.cfg"
+    config.write_text("points = many\n")
+    result = fresh([arg.format(config=config) for arg in argv])
+    assert result["codes"] == [code]
+    assert not result["numpy"]
+    assert not {"omx.core", "omx.table"} & set(result["omx"])
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -160,7 +183,7 @@ def test_a_command_runs_blas_on_one_thread(trace, argv):
 
 @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_a_thread_count_the_user_set_wins(name):
-    result = fresh(["device", "list"], **{name: "2"})
+    result = fresh(["cool-curve", "--points", "20"], **{name: "2"})
     assert (result["codes"], result["environ_changed"]) == ([0], {})
     if sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2:
         assert result["threads"] == 2  # one OpenBLAS worker beside the main thread

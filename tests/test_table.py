@@ -316,6 +316,37 @@ class TestProcesses:
         assert_same_text(four, one)
         assert_same_text(one, json_bytes(columns) if fmt == "json" else naive_csv(columns))
 
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
+    def test_one_bom_on_any_number_of_cpus(self, tmp_path, monkeypatch, forks, encoding):
+        """A child would start each job it encodes with a BOM: a UTF-16 or
+        ``utf-8-sig`` file has the bytes of the text encoded once."""
+        columns, written = wide_table(), []
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            path = tmp_path / f"{len(cpus)}.csv"
+            with open(path, "w", encoding=encoding, newline="") as fh:
+                monkeypatch.setattr("sys.stdout", fh)
+                table.write_table(columns)
+            written.append(path.read_bytes())
+        assert written[0] == written[1] == naive_csv(columns).encode(encoding)
+
+    def test_interrupt_exits_130_and_leaves_no_child(self, tmp_path, monkeypatch, capfd,
+                                                     forks):
+        """Ctrl-C while this process encodes its first job of a split table."""
+        parent, chunk = os.getpid(), table._csv_chunk
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return chunk(*args)
+        monkeypatch.setattr(table, "_csv_chunk", interrupted)
+        out = tmp_path / "curve.csv"
+        assert main(["cool-curve", "--points", "50000", "--out", str(out)]) == 130
+        assert len(forks) == 3
+        assert capfd.readouterr().err == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_json_part_that_opens_a_column(self, tmp_path, forks):
         """The text before a cut, here the name of the next column, is written
         before the bytes of the part after it."""
@@ -404,8 +435,8 @@ class TestProcesses:
 
     def test_many_jobs_on_more_processes_than_cpus(self, tmp_path, monkeypatch, forks):
         """Each of ~400 jobs, taken by one of 8 processes, is written once and
-        in its place; a lost or doubled job changes the bytes, a lost report
-        hangs (bounded by an alarm)."""
+        in its place; a lost or doubled job changes the bytes. A lost job is
+        encoded by this process, not waited for; an alarm bounds a hang."""
         columns = {name: c[:20_000] for name, c in wide_table().items()}
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         monkeypatch.setattr(table, "CHUNK_ROWS", 50)
