@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import math
 import os
 import sys
 import warnings
@@ -218,10 +216,10 @@ def _grid_hz(flag: str, lo: float, hi: float, points: int) -> np.ndarray:
     must stay finite in rad/s: a grid of inf or nan is a usage error."""
     import numpy as np
 
-    if not all(map(math.isfinite, (hz_to_angular(lo), hz_to_angular(hi),
-                                   hz_to_angular(hi - lo)))):
-        raise ValueError(f"{flag} gives a grid beyond the float range "
-                         f"({lo!r} to {hi!r} Hz)")
+    from . import core
+
+    core._finite(hz_to_angular(max(abs(lo), abs(hi), abs(hi - lo))),
+                 f"{flag} gives a grid beyond the float range ({lo!r} to {hi!r} Hz)")
     return np.linspace(lo, hi, points)
 
 
@@ -296,22 +294,23 @@ def _cmd_pulse_sim(args) -> tuple:
     sign = -1.0 if args.detuning == "red" else 1.0
     drive = core.Drive.at_detuning(device.optical, sign * device.mechanical.omega_m,
                                    on_chip_power=args.peak_power)
-    n_c = core.intracavity_photons(device.optical, drive)
-    if not math.isfinite(4.0 * device.g0**2 * n_c):  # p_s = 4 g0^2 n_c tau / kappa
-        what = ("a scattering probability" if math.isfinite(n_c)
-                else "an intracavity photon number")
-        raise ValueError(f"--peak-power {args.peak_power!r} gives {what} "
-                         "beyond the float range")
+    beyond = f"--peak-power {args.peak_power!r} gives {{}} beyond the float range"
+    n_c = core._finite(core.intracavity_photons(device.optical, drive),
+                       beyond.format("an intracavity photon number"))
+    coupling = core._finite(4.0 * device.g0**2 * n_c, beyond.format("a scattering probability"))
     # the means simulate_clicks draws from, checked before its regime warnings
-    p_s = 4.0 * device.g0**2 * n_c * tau / device.optical.kappa
+    p_s = coupling * tau / device.optical.kappa
     n_m = pulsed.steady_state_prepulse_occupancy(kernel, train.rep_rate)
     side = args.eta * p_s * (n_m + 1.0 if sign > 0 else n_m)
-    for flag, value, mean in (("--peak-power", args.peak_power, side),
-                              ("--dark-rate", args.dark_rate, chain.dark_per_pulse)):
+    dark = f"--dark-rate {args.dark_rate!r}"
+    if args.window_ns is not None:
+        dark += f" with --window-ns {args.window_ns!r}"
+    for given, mean in ((f"--peak-power {args.peak_power!r}", side),
+                        (dark, chain.dark_per_pulse)):
         try:  # a draw of no samples checks the mean as Generator.poisson does
             np.random.default_rng(0).poisson(mean, 0)
         except ValueError:
-            raise ValueError(f"{flag} {value!r} gives {mean:.3g} counts per pulse, "
+            raise ValueError(f"{given} gives {mean:.3g} counts per pulse, "
                              "beyond the Poisson sampler's range") from None
     core._check("pulses x counts per pulse", args.pulses * (side + chain.dark_per_pulse),
                 within=(0, _MAX_ROWS))
@@ -334,7 +333,7 @@ def _cmd_estimate(args) -> tuple:
         result = pulsed.estimate_occupancy(len(blue), len(red), args.pulses, chain)
     except ValueError as exc:
         raise RuntimeError(str(exc)) from exc
-    return dataclasses.asdict(result), None
+    return dict(vars(result)), None
 
 
 def _cmd_histogram(args) -> tuple:
@@ -362,8 +361,10 @@ def _cmd_taper(args) -> tuple:
 
 
 def _resolve_rates(args, device: spec.Device | None):
-    kappa = None if args.kappa_hz is None else hz_to_angular(args.kappa_hz)
-    gamma0 = None if args.gamma0_hz is None else hz_to_angular(args.gamma0_hz)
+    from . import core
+
+    kappa = None if args.kappa_hz is None else core._angular("kappa-hz", args.kappa_hz)
+    gamma0 = None if args.gamma0_hz is None else core._angular("gamma0-hz", args.gamma0_hz)
     if device is not None:
         kappa = device.optical.kappa if kappa is None else kappa
         gamma0 = device.mechanical.gamma_0 if gamma0 is None else gamma0

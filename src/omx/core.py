@@ -27,8 +27,8 @@ import numpy as np
 from . import table
 from .constants import HBAR, K_B, hz_to_angular
 from .spec import (DEFAULT_HEATING, DEVICE_PRESETS, ZERO_HEATING, Device, HeatingParams,
-                   MechanicalMode, OpticalMode, _check, _label, _number, _resolve, _spec_file,
-                   device_from_json, device_to_json, load_device)
+                   MechanicalMode, OpticalMode, _check, _finite, _label, _number, _resolve,
+                   _spec_file, device_from_json, device_to_json, load_device)
 
 __all__ = [
     "OpticalMode",
@@ -233,7 +233,7 @@ def cooling_curve(device: Device, heating: HeatingParams, n_c_grid) -> CoolingTa
     """Evaluate occupancy, cooperativity and effective linewidth over a photon grid.
 
     The grid must be strictly positive and sorted ascending. A grid whose
-    top makes g0^2 n_c, or a term it scales, overflow raises ``OverflowError``.
+    top makes g0^2 n_c, or a term it scales, overflow raises ``ValueError``.
     """
     grid = np.asarray(n_c_grid, dtype=float)
     if grid.size == 0:
@@ -242,14 +242,13 @@ def cooling_curve(device: Device, heating: HeatingParams, n_c_grid) -> CoolingTa
     if np.any(np.diff(grid) <= 0):
         raise ValueError("n_c grid must be strictly increasing")
     top = float(grid[-1])
-    if not math.isfinite(device.g0**2 * top):
-        raise OverflowError(f"n_c = {top!r} overflows the coupling g0^2 n_c")
-    try:
+    _finite(device.g0**2 * top, f"n_c = {top!r} overflows the coupling g0^2 n_c")
+    try:  # numpy's overflow, or libm's in the scalar pow of g^2
         with np.errstate(over="raise"):
             ba = backaction(device, grid, -device.mechanical.omega_m)
             occ = heating_model_occupancy(device, heating, grid)
-    except FloatingPointError as exc:
-        raise OverflowError(f"n_c = {top!r} overflows the cooling curve ({exc})") from None
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(f"n_c = {top!r} overflows the cooling curve ({exc.args[-1]})") from None
     return CoolingTable(n_c=grid, cooperativity=ba.cooperativity, gamma_eff=ba.gamma_eff,
                         n_m=occ)
 

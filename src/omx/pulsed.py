@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Device, _check
+from .core import Device, _check, _finite
 from . import table
 
 __all__ = [
@@ -88,6 +88,8 @@ class DetectionChain:
         _check("eta", self.eta, within=(0, 1))
         _check("dark_rate", self.dark_rate, ge=0)
         _check("window", self.window, positive=True)
+        _finite(self.dark_per_pulse, f"dark_rate {self.dark_rate!r} Hz over a window of "
+                f"{self.window!r} s gives dark counts per pulse beyond the float range")
 
     @property
     def dark_per_pulse(self) -> float:

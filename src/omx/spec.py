@@ -39,6 +39,14 @@ def _check(name: str, value, *, positive: bool = False, ge=None, within=None):
     return value
 
 
+def _finite(value: float, message: str) -> float:
+    """``value`` if it is finite, else ``ValueError(message)``: a number derived
+    from an input that leaves the float range is an error naming that input."""
+    if not math.isfinite(value):
+        raise ValueError(message)
+    return value
+
+
 def _number(data: dict, key: str, default: float | None = None) -> float:
     """``data[key]`` of a JSON spec as a float, or ``default`` if the key is
     absent (required if None). Anything but a JSON number within the float

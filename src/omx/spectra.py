@@ -19,7 +19,7 @@ import numpy as np
 
 from . import table
 from .constants import angular_to_hz
-from .core import Device, _angular, _check
+from .core import Device, _angular, _check, _finite
 
 __all__ = [
     "SpectrumTrace",
@@ -126,9 +126,7 @@ def omit_reflection_map(device: Device, n_c: float, detunings, probe_freq) -> np
     ``detunings[k]``, evaluated as one broadcast per sideband branch.
     """
     _check("n_c", n_c, ge=0)
-    g2 = device.g0**2 * n_c
-    if not math.isfinite(g2):
-        raise ValueError(f"n_c = {n_c!r} overflows the coupling g0^2 n_c")
+    g2 = _finite(device.g0**2 * n_c, f"n_c = {n_c!r} overflows the coupling g0^2 n_c")
     omega = _check("probe_freq", np.asarray(probe_freq, dtype=float))
     delta = _check("detunings", np.asarray(detunings, dtype=float)).reshape(-1, 1)
     red = delta[:, 0] <= 0

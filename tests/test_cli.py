@@ -157,16 +157,25 @@ class TestCoolCurveCommand:
         assert code == 2
         assert "nc-min" in err
 
-    def test_overflow_is_a_numeric_failure(self, capsys):
+    def test_overflow_is_an_input_error(self, capsys):
         code, out, err = run(capsys, "cool-curve", "--points", "3", "--nc-max", "1e300")
-        assert (code, out) == (1, "")
+        assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_overflow_names_the_coupling(self, capsys):
         code, _, err = run(capsys, "cool-curve", "--points", "3", "--nc-max", "1e300")
-        assert code == 1
+        assert code == 2
         assert err == "error: n_c = 1e+300 overflows the coupling g0^2 n_c\n"
+
+    @pytest.mark.parametrize("nc_max", ["1e290", "5.609268658512203e+294"])
+    def test_overflowing_term_names_the_top_of_the_grid(self, capsys, nc_max):
+        """g0^2 n_c is finite, but a term it scales is not: numpy's product at
+        1e290, libm's pow of the coupling (g0 sqrt(n_c))^2 at the larger value."""
+        code, out, err = run(capsys, "cool-curve", "--points", "3", "--nc-max", nc_max)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: n_c = {float(nc_max)!r} overflows the cooling curve (")
+        assert err.count("\n") == 1
 
 
 class TestOmitCommands:
@@ -258,6 +267,24 @@ class TestPulseCommands:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: {flag} {float(value)!r} gives {mean} counts per "
                                "pulse, beyond the Poisson sampler's range\n")
+
+    def test_dark_mean_beyond_the_poisson_range_names_the_gate_too(self, capsys):
+        code, out, err = run(capsys, "pulse-sim", "--pulses", "10", "--window-ns", "1e300")
+        assert (code, out) == (2, "")
+        assert err == ("error: --dark-rate 5.0 with --window-ns 1e+300 gives 5e+291 counts "
+                       "per pulse, beyond the Poisson sampler's range\n")
+
+    @pytest.mark.parametrize("command", ["pulse-sim", "estimate"])
+    def test_dark_floor_beyond_the_float_range_names_the_rate_and_the_gate(
+            self, capsys, tmp_path, command):
+        path = tmp_path / "clicks.csv"
+        path.write_text("pulse_index,t_ns,label\n0,1.5,blue\n")
+        argv = ["--blue", str(path), "--red", str(path)] if command == "estimate" else []
+        code, out, err = run(capsys, command, *argv, "--pulses", "10", "--dark-rate", "1e308",
+                             "--window-ns", "1e10")
+        assert (code, out) == (2, "")
+        assert err == ("error: dark_rate 1e+308 Hz over a window of 10.0 s gives dark counts "
+                       "per pulse beyond the float range\n")
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_names_the_flag(self, capsys, workers):
@@ -520,6 +547,8 @@ def test_closed_stdout_pipe_exits_141_silently(argv, lines):
     ["pulse-sim", "--pulses", "10", "--dark-rate", "1e30"],
     ["cool-curve", "--points", str(10**20)],
     ["histogram", *CLICK_FLAGS, "--bin-ns", "1e-30"],
+    ["cool-curve", "--nc-max", "1e300"],
+    ["cool-curve", "--points", "3", "--nc-max", "5.609268658512203e+294"],
 ])
 def test_stderr_is_one_line_in_a_fresh_process(argv):
     """No numpy RuntimeWarning reaches a user's terminal next to the error."""
@@ -815,6 +844,16 @@ class TestFitCommand:
                              "--branch", "red")
         assert (code, out) == (2, "")
         assert err == "error: gamma_m_hz in rad/s must be finite, got inf\n"
+
+    @pytest.mark.parametrize("flag", ["--kappa-hz", "--gamma0-hz"])
+    def test_g0_rate_beyond_the_float_range_in_rad_s_names_the_flag(self, capsys, tmp_path,
+                                                                    flag):
+        path = tmp_path / "linewidths.csv"
+        path.write_text("n_c,gamma_m_hz\n100,210000\n200,215000\n")
+        code, out, err = run(capsys, "fit", "g0", "--in", str(path), "--device", "A",
+                             "--branch", "red", flag, "1e308")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag[2:]} in rad/s must be finite, got inf\n"
 
     def test_g0_overflow_is_a_numeric_failure(self, capsys, tmp_path):
         path = tmp_path / "linewidths.csv"

@@ -312,15 +312,21 @@ class TestCoolingCurve:
         assert np.all(np.diff(table.n_m) < 0)
 
     def test_overflowing_coupling_is_named(self, device_a):
-        with pytest.raises(OverflowError, match=r"n_c = 1e\+300 overflows the coupling g0\^2 n_c"):
+        with pytest.raises(ValueError, match=r"n_c = 1e\+300 overflows the coupling g0\^2 n_c"):
             core.cooling_curve(device_a, core.ZERO_HEATING, [1.0, 1e300])
 
     def test_overflowing_term_raises_without_a_warning(self, device_a):
         # g0^2 n_c is finite here, but g^2 kappa is not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match=r"n_c = 1e\+290 overflows the cooling curve"):
+            with pytest.raises(ValueError, match=r"n_c = 1e\+290 overflows the cooling curve"):
                 core.cooling_curve(device_a, core.ZERO_HEATING, [1.0, 1e290])
+
+    def test_overflowing_squared_coupling_is_named(self, device_a):
+        # g0^2 n_c is finite here, but libm's pow of (g0 sqrt(n_c))^2 is not
+        with pytest.raises(ValueError, match=r"n_c = 5\.609268658512203e\+294 overflows the "
+                                             r"cooling curve \([A-Za-z]"):
+            core.cooling_curve(device_a, core.ZERO_HEATING, [1.0, 5.609268658512203e+294])
 
 
 def same_bits(array, scalars) -> bool:

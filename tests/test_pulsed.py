@@ -64,6 +64,9 @@ class TestValidation:
             pulsed.DetectionChain(window=0.0)
         chain = pulsed.DetectionChain(eta=0.05, dark_rate=10.0, window=100e-9)
         assert chain.dark_per_pulse == pytest.approx(1e-6, rel=1e-12)
+        beyond = r"^dark_rate 1e\+308 Hz over a window of 10\.0 s gives dark counts per pulse"
+        with pytest.raises(ValueError, match=beyond + " beyond the float range$"):
+            pulsed.DetectionChain(dark_rate=1e308, window=10.0)
 
     def test_heating_kernel(self):
         with pytest.raises(ValueError):

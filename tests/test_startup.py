@@ -20,8 +20,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports the modules named after the JSON argument, then ``omx``, then runs the
 # commands given as a JSON list of argv lists, in one fresh interpreter; prints
-# the exit codes, what was loaded on the way (``numpy``, ``numpy.ma`` and
-# ``orjson`` among it), the OS threads left at the end (Linux only) and the
+# the exit codes, what was loaded on the way (``numpy``, ``numpy.ma``, ``orjson``
+# and ``dataclasses`` among it), the OS threads left at the end (Linux only) and the
 # environment variables that changed.
 SCRIPT = """
 import importlib, json, os, sys, time
@@ -46,7 +46,7 @@ changed = {k: os.environ.get(k) for k in environ.keys() | os.environ.keys()
 print(json.dumps({"import_omx": after_import, "codes": codes, "omx": loaded("omx"),
                   "scipy": loaded("scipy"), "futures": "concurrent.futures" in sys.modules,
                   "numpy": "numpy" in sys.modules, "numpy_ma": "numpy.ma" in sys.modules,
-                  "orjson": "orjson" in sys.modules,
+                  "orjson": "orjson" in sys.modules, "dataclasses": "dataclasses" in sys.modules,
                   "threads": threads, "environ_changed": changed}))
 """
 
@@ -165,6 +165,7 @@ def test_a_command_that_computes_nothing_loads_no_numpy(tmp_path, argv, code):
     assert result["codes"] == [code]
     assert not result["numpy"]
     assert not {"omx.core", "omx.table"} & set(result["omx"])
+    assert result["dataclasses"] is (argv == ["device", "list"])  # omx.spec's dataclasses
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
