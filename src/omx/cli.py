@@ -38,7 +38,7 @@ if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_T
 from . import __version__
 from .constants import angular_to_hz, hz_to_angular
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 
 # The most rows, bins or cells a size flag may ask for, checked before anything
@@ -558,14 +558,11 @@ def main(argv=None) -> int:
                 table.write_table(output, args.out, args.format)
             else:
                 table.write_json(output, args.out)
-        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        sys.stdout.flush()  # a closed pipe fails here, as exit 141 below
         if failure is not None:
             print(f"error: {failure}", file=sys.stderr)
         return 0 if failure is None else 1
     except BrokenPipeError:  # the reader has gone: end silently, as a SIGPIPE exit
-        devnull = os.open(os.devnull, os.O_WRONLY)  # takes the flush at interpreter exit
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         return 141
     except KeyboardInterrupt:  # Ctrl-C: the shell's SIGINT status, and no traceback
         return 130
@@ -587,5 +584,20 @@ def main(argv=None) -> int:
         warnings.formatwarning = formatwarning
 
 
+def run() -> None:
+    """The ``omx`` command: ``main``, then the process exits without tearing the
+    interpreter down, numpy's modules above all, which is a large share of a
+    small command's time. By then every output is closed, forked encoders are
+    reaped and pools are joined, so only the two standard streams are left to
+    flush; a reader gone from either makes the exit 141."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 141
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -181,30 +181,26 @@ def gauss_newton(
             message = "converged"
             break
 
-    covariance = None
-    stderr: dict[str, float] = {}
+    return _fit_result(names, x, cost, jacobian_fn, converged, iterations, message)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _fit_result(names, x, cost, jacobian_fn, converged, iterations, message) -> FitResult:
+    """The FitResult at ``x``; if converged, with the covariance of ``jacobian_fn(x)``
+    on the steps' unit-norm column scaling, zero on frozen columns."""
+    x = np.asarray(x, dtype=float)
+    covariance, stderr = None, {}
     if converged:
         col, active, Js = _scaled(np.asarray(jacobian_fn(x), dtype=float))
         m, p = Js.shape
         s2 = cost / (m - p) if m > p else 0.0
-        covariance = np.zeros((n, n))
+        covariance = np.zeros((x.size, x.size))
         if p:
             cov_a = s2 * np.linalg.pinv(Js.T @ Js) / np.outer(col[active], col[active])
             covariance[np.ix_(active, active)] = 0.5 * (cov_a + cov_a.T)
-        stderr = {
-            name: math.sqrt(max(covariance[i, i], 0.0)) for i, name in enumerate(names)
-        }
-
-    return FitResult(
-        params=dict(zip(names, x.tolist())),
-        names=names,
-        covariance=covariance,
-        residual_norm=math.sqrt(cost),
-        converged=converged,
-        iterations=iterations,
-        stderr=stderr,
-        message=message,
-    )
+        stderr = {name: math.sqrt(max(covariance[i, i], 0.0)) for i, name in enumerate(names)}
+    return FitResult(dict(zip(names, x.tolist())), names, covariance, math.sqrt(cost),
+                     converged, iterations, stderr, message)
 
 
 # --- auto-initialization helpers ---
@@ -291,49 +287,53 @@ def fit_lorentzian(trace, initial: dict | None = None) -> FitResult:
     return result
 
 
-@np.errstate(over="raise", invalid="raise", divide="raise")
-def _fano_init(x: np.ndarray, y: np.ndarray):
-    """Initial (center, width, q_fano, amplitude, offset): the Lorentzian seed's
-    center and width, and the best of a few asymmetries with amplitude and
-    offset solved linearly for each."""
-    c0, w0, _, _ = _lorentzian_init(x, y)
-    best = None
-    for q0 in (-10.0, -3.0, -1.0, 1.0, 3.0, 10.0):
-        hw = w0 / 2.0
-        dx = x - c0
-        basis = np.column_stack([(q0 * hw + dx) ** 2 / (hw**2 + dx**2), np.ones_like(x)])
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        res = float(((basis @ coef - y) ** 2).sum())
-        if best is None or res < best[0]:
-            best = (res, q0, float(coef[0]), float(coef[1]))
-    _, q0, a0, offq = best
-    return c0, w0, q0, a0, offq
+def _fano_public(k0: float, kL: float, kD: float):
+    """(q_fano, amplitude, offset) of k0 + kL*L + kD*D: the root q of kL/kD = (q^2 - 1)/(2q)
+    whose amplitude kD/(2q) is positive, t + copysign(hypot(t, 1), kD) at t = kL/kD."""
+    if kD == 0:
+        raise ArithmeticError("fano fit reached the Lorentzian limit: q_fano is unbounded")
+    r = abs(kL / kD) + math.hypot(kL / kD, 1.0)  # that root, written without cancellation
+    q = math.copysign(r if kL >= 0 else 1.0 / r, kD)
+    return q, kD / (2.0 * q), k0 - kD / (2.0 * q)
 
 
 def fit_fano(trace, initial: dict | None = None) -> FitResult:
     """Fit the asymmetric (Fano) resonance line to a real trace.
 
-    Parameters are auto-initialized by ``_fano_init`` unless ``initial``
-    overrides them (keys: center, width, q_fano, amplitude, offset).
+    The line is k0 + kL*L + kD*D in L = hw^2/(hw^2 + dx^2) and D = hw*dx/(hw^2 + dx^2), with
+    k0 = offset + A, kL = A(q^2 - 1) and kD = 2Aq (U. Fano, Phys. Rev. 124, 1866 (1961)).
+    Gauss-Newton fits (center, width, k0, kL, kD), finite as q -> inf, from the Lorentzian
+    seed's center and width and one linear solve, then maps back to amplitude > 0 with the
+    covariance (``_fano_public``). ``initial`` overrides the seed; its keys are ``fano``'s.
     """
     x, y = _as_trace_arrays(trace)
     if x.size < 5:
         raise ValueError("need at least 5 samples")
-    c0, w0, q0, a0, offq = _fano_init(x, y)
-    guess = {"center": c0, "width": w0, "q_fano": q0, "amplitude": a0, "offset": offq}
-    if initial:
-        guess.update(initial)
-    names = ("center", "width", "q_fano", "amplitude", "offset")
-    p0 = [guess[k] for k in names]
-    lo = np.array([-np.inf, guess["width"] * 1e-9, -np.inf, -np.inf, -np.inf])
-    hi = np.full(5, np.inf)
-    return gauss_newton(
-        lambda p: fano(x, *p) - y,
-        lambda p: _fano_jac(x, p),
-        p0,
-        names,
-        bounds=(lo, hi),
-    )
+    c0, w0, _, _ = _lorentzian_init(x, y)
+    guess = {"center": c0, "width": w0, **(initial or {})}
+
+    def jacobian(p):  # d/d(center), d/d(width), then the columns 1, L, D that k multiplies
+        hw, dx = p[1] / 2.0, x - p[0]
+        den = hw**2 + dx**2
+        return np.column_stack([
+            (2.0 * p[3] * hw**2 * dx - p[4] * hw * (hw**2 - dx**2)) / den**2,
+            (p[3] * hw * dx**2 + p[4] * dx * (dx**2 - hw**2) / 2.0) / den**2,
+            np.ones_like(x), hw**2 / den, hw * dx / den])
+
+    p0 = [guess["center"], guess["width"]]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # as _lorentzian_init
+        k = np.linalg.lstsq(jacobian(p0 + [0.0] * 3)[:, 2:], y, rcond=None)[0].tolist()
+    public = ("q_fano", "amplitude", "offset")
+    if guess.keys() & set(public):  # a seed in the public names maps forward
+        q, a, off = (guess.get(key, v) for key, v in zip(public, _fano_public(*k)))
+        k = [off + a, a * (q * q - 1.0), 2.0 * a * q]
+    lo = [-np.inf, guess["width"] * 1e-9, -np.inf, -np.inf, -np.inf]
+    fit = gauss_newton(lambda p: jacobian(p)[:, 2:] @ p[2:] - y, jacobian, p0 + k,
+                       ("center", "width", "k0", "kL", "kD"), bounds=(lo, [np.inf] * 5))
+    center, width, *k = fit.params.values()
+    return _fit_result(("center", "width", *public), [center, width, *_fano_public(*k)],
+                       fit.residual_norm**2, lambda p: _fano_jac(x, p), fit.converged,
+                       fit.iterations, fit.message)
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")

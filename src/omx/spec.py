@@ -162,6 +162,7 @@ class Device:
 
     def __post_init__(self):
         _check("g0", self.g0, positive=True)
+        _finite(self.g0 * self.g0, "g0^2 is beyond the float range")  # the rates scale as g0^2
         if self.g0_alt is not None:
             _check("g0_alt", self.g0_alt, positive=True)
 

@@ -272,6 +272,77 @@ class TestFanoFit:
         with pytest.raises(ValueError):
             fitkit.fit_fano(make_trace(np.arange(3.0), np.zeros(3)))
 
+    def test_one_answer_where_a_second_branch_fits_the_same_line(self):
+        """(q, A, offset) and (-1/q, -A q^2, offset + A(1 + q^2)) draw the same
+        line; over [-10, 10] at this width a fit in (q, A) once found the
+        second, and the fit returns the one with A > 0."""
+        x = np.linspace(-10.0, 10.0, 801)
+        truth = dict(center=1.2, width=3.1, q_fano=-1.3, amplitude=0.7, offset=0.1)
+        res = fitkit.fit_fano(make_trace(x, fitkit.fano(x, **truth)))
+        assert res.converged
+        for k, v in truth.items():
+            assert res.params[k] == pytest.approx(v, rel=1e-6), k
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_noisy_lorentzian_converges_at_the_lorentzian_limit(self, seed):
+        """A Lorentzian is the Fano line at q -> inf; the fit still converges,
+        to a large |q_fano|, with every value and stderr finite."""
+        x = np.linspace(-5.0, 5.0, 801)
+        rng = np.random.default_rng(seed)
+        y = fitkit.lorentzian(x, 0.0, 1.0, 1.0, 0.0) + 0.01 * rng.standard_normal(x.size)
+        res = fitkit.fit_fano(make_trace(x, y))
+        assert res.converged, res.message
+        assert res.iterations < 20
+        assert all(math.isfinite(v) for v in (*res.params.values(), *res.stderr.values()))
+        assert res.params["center"] == pytest.approx(0.0, abs=0.01)
+        assert res.params["width"] == pytest.approx(1.0, rel=0.01)
+
+    def test_stderr_covers_the_truth(self):
+        """Over 200 fixed seeds of 1% noise, each parameter lies within one
+        reported stderr of its truth in about 68% of fits and within two in
+        about 95%, on both branches of q, so the covariance mapped back from
+        the linear form is calibrated."""
+        x = np.linspace(-10.0, 10.0, 801)
+        for truth in (dict(center=0.3, width=2.0, q_fano=1.5, amplitude=1.0, offset=0.1),
+                      dict(center=1.2, width=3.1, q_fano=-1.3, amplitude=0.7, offset=0.1)):
+            clean = fitkit.fano(x, **truth)
+            z = []
+            for seed in range(200):
+                noise = 0.01 * np.random.default_rng(seed).standard_normal(x.size)
+                res = fitkit.fit_fano(make_trace(x, clean + noise))
+                assert res.converged
+                z.append([abs(res.params[k] - v) / res.stderr[k] for k, v in truth.items()])
+            z = np.array(z)
+            within1, within2 = (z <= 1).mean(axis=0), (z <= 2).mean(axis=0)
+            assert ((within1 >= 0.55) & (within1 <= 0.80)).all(), (truth, within1)
+            assert (within2 >= 0.88).all(), (truth, within2)
+
+    def test_no_dispersive_part_is_the_lorentzian_limit(self, capsys, monkeypatch, tmp_path):
+        """kD = 0 exactly leaves q_fano without a finite value: an ArithmeticError
+        naming the limit, which fit fano reports as a numeric failure, exit 1."""
+        from omx import table
+        from omx.cli import main
+
+        gauss_newton = fitkit.gauss_newton
+
+        def symmetric(*args, **kwargs):
+            res = gauss_newton(*args, **kwargs)
+            res.params["kD"] = 0.0
+            return res
+
+        monkeypatch.setattr(fitkit, "gauss_newton", symmetric)
+        x = np.linspace(-5.0, 5.0, 101)
+        y = fitkit.lorentzian(x, 0.0, 1.0, 1.0, 0.0)
+        with pytest.raises(ArithmeticError, match="Lorentzian limit"):
+            fitkit.fit_fano(make_trace(x, y))
+        path = tmp_path / "line.csv"
+        table.write_table({"freq_hz": x, "value": y}, path)
+        assert main(["fit", "fano", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: fano fit reached the Lorentzian limit: "
+                                "q_fano is unbounded\n")
+
 
 class TestG0Fit:
     def test_noiseless_red_branch_is_exact(self, device_a):

@@ -6,8 +6,16 @@ per table. The files are the contract: a change to the writers, the click
 simulator or the layouts must reproduce them exactly, never re-record them.
 ``{golden}`` in an argument stands for the golden directory, so the
 ``estimate`` and ``histogram`` cases read the recorded click streams.
+
+Tables too large to keep as files, which the encoder splits across
+processes, are pinned instead by their sha256 in ``large.sha256`` (lines of
+``sha256sum``), under the same contract.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +76,38 @@ def test_out_file_matches_golden(capsys, tmp_path, name):
     assert main(_argv(argv) + ["--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# Tables large enough to be encoded by a process per CPU. Each is made by a
+# new ``python -m omx``, so its digest also checks the process exit after a
+# forked write to a pipe (stdout) or to a file (``--out``).
+LARGE = {
+    "omit_map_401.csv": (["omit-map", "--device", "A", "--nc", "3000.0", "--points", "2001",
+                          "--detuning-points", "401"], False),
+    "omit_map_41.json": (["omit-map", "--device", "A", "--nc", "3000.0", "--points", "2001",
+                          "--detuning-points", "41", "--format", "json"], True),
+    "pulse_sim_b.csv": (["pulse-sim", "--device", "B", "--rep-rate", "3.012e6", "--tau-ns",
+                         "80", "--peak-power", "3e-5", "--eta", "1", "--pulses", "300000",
+                         "--workers", "1", "--seed", "3"], True),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE))
+def test_large_table_matches_its_digest(tmp_path, name):
+    digests = dict(line.split()[::-1] for line in
+                   (GOLDEN / "large.sha256").read_text().splitlines())
+    argv, to_file = LARGE[name]
+    path = tmp_path / name
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen([sys.executable, "-m", "omx", *argv,
+                           *(["--out", str(path)] if to_file else [])], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        piped = hashlib.sha256()
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            piped.update(chunk)
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
+    if to_file:
+        assert piped.digest() == hashlib.sha256(b"").digest()  # nothing on stdout
+    written = hashlib.sha256(path.read_bytes()) if to_file else piped
+    assert written.hexdigest() == digests[name]
