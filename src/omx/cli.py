@@ -3,8 +3,9 @@
 One executable with subcommands covering presets, cooling curves, coherent
 reflection spectra, pulsed click simulation/estimation, taper schedules and
 the fitting helpers. Frequencies on the command line and in every file are
-cyclic Hz (times in ns, lengths in nm); conversion to the angular units used
-internally happens here and only here.
+cyclic Hz (times in ns, lengths in nm). A flag is converted to the angular
+units used internally here; a file is converted by its type's column and JSON
+helpers (``spec``, ``spectra``, ``fitkit``).
 
 Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error, 130 on
 Ctrl-C and 141 when the reader of stdout closes it early (128 + SIGINT and
@@ -33,9 +34,10 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-# numpy and the other omx modules are imported by the handlers that use them:
-# a command loads only what it runs, and parsing or listing presets loads no numpy
-from . import __version__
+# A handler reaches each omx module as ``omx.<module>``, which the package's
+# __getattr__ imports on first use, and numpy by a local import: a command loads
+# only what it runs, and parsing or listing presets loads no numpy
+import omx
 from .constants import angular_to_hz, hz_to_angular
 
 __all__ = ["main", "run", "build_parser"]
@@ -99,41 +101,33 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
 # --- shared loaders ----------------------------------------------------------
 
 
-def _load_device(label: str) -> spec.Device:
-    from . import spec
-
-    return spec.load_device(label, search_dir=_preset_dir())
+def _load_device(label: str) -> omx.spec.Device:
+    return omx.spec.load_device(label, search_dir=_preset_dir())
 
 
-def _load_heating(name: str) -> spec.HeatingParams:
-    from . import spec
-
-    presets = {"default": spec.DEFAULT_HEATING, "zero": spec.ZERO_HEATING}
-    return spec._resolve("heating", name, presets, lambda data: spec.HeatingParams(
-        n_th0=spec._number(data, "n_th0"),
-        alpha_sat=spec._number(data, "alpha_sat", 0.0),
-        beta_sat=spec._number(data, "beta_sat", 0.0),
-        alpha_lin=spec._number(data, "alpha_lin", 0.0),
+def _load_heating(name: str) -> omx.spec.HeatingParams:
+    presets = {"default": omx.spec.DEFAULT_HEATING, "zero": omx.spec.ZERO_HEATING}
+    return omx.spec._resolve("heating", name, presets, lambda data: omx.spec.HeatingParams(
+        n_th0=omx.spec._number(data, "n_th0"),
+        alpha_sat=omx.spec._number(data, "alpha_sat", 0.0),
+        beta_sat=omx.spec._number(data, "beta_sat", 0.0),
+        alpha_lin=omx.spec._number(data, "alpha_lin", 0.0),
     ))
 
 
-def _load_kernel(name: str) -> pulsed.HeatingKernel:
-    from . import pulsed, spec
-
-    presets = {"default": pulsed.default_kernel(),
-               "zero": pulsed.HeatingKernel(delta=0.0, tau_th=0.0, n_base=0.0)}
-    return spec._resolve("kernel", name, presets, lambda data: pulsed.HeatingKernel(
-        delta=spec._number(data, "delta"),
-        tau_th=spec._number(data, "tau_th_us") * 1e-6,
-        n_base=spec._number(data, "n_base", 0.0),
+def _load_kernel(name: str) -> omx.pulsed.HeatingKernel:
+    presets = {"default": omx.pulsed.default_kernel(),
+               "zero": omx.pulsed.HeatingKernel(delta=0.0, tau_th=0.0, n_base=0.0)}
+    return omx.spec._resolve("kernel", name, presets, lambda data: omx.pulsed.HeatingKernel(
+        delta=omx.spec._number(data, "delta"),
+        tau_th=omx.spec._number(data, "tau_th_us") * 1e-6,
+        n_base=omx.spec._number(data, "n_base", 0.0),
     ))
 
 
-def _load_design(name: str) -> geometry.DesignParams:
-    from . import geometry, spec
-
-    return spec._resolve("design", name, geometry.DESIGN_PRESETS, geometry.design_from_json,
-                         _preset_dir())
+def _load_design(name: str) -> omx.geometry.DesignParams:
+    return omx.spec._resolve("design", name, omx.geometry.DESIGN_PRESETS,
+                             omx.geometry.design_from_json, _preset_dir())
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -142,16 +136,14 @@ def _load_design(name: str) -> geometry.DesignParams:
 
 
 def _cmd_device(args) -> tuple:
-    from . import spec
-
     if args.action == "list":
-        labels = sorted(spec.DEVICE_PRESETS)
+        labels = sorted(omx.spec.DEVICE_PRESETS)
         directory = _preset_dir()
         if directory is not None and Path(directory).is_dir():
             for p in sorted(Path(directory).glob("*.json")):
                 if p.stem not in labels:  # listed only if it reads as a device
                     with contextlib.suppress(OSError, ValueError):
-                        spec._spec_file(p, spec.device_from_json)
+                        omx.spec._spec_file(p, omx.spec.device_from_json)
                         labels.append(p.stem)
         for label in labels:
             print(label)
@@ -159,8 +151,6 @@ def _cmd_device(args) -> tuple:
     if args.label is None:
         raise ValueError(f"device {args.action} requires a preset label")
     device = _load_device(args.label)
-    from . import core, table
-
     if args.action == "show":
         optical, mech = device.optical, device.mechanical
         rows = [
@@ -180,13 +170,13 @@ def _cmd_device(args) -> tuple:
             ("omega_m_over_kappa", mech.omega_m / optical.kappa),
             ("sideband_resolved", device.sideband_resolved),
         ]
-        for key, value in rows:
-            print(f"{key} = {table.format_cell(value)}")
+        for key, value in rows:  # a float's str is its repr, as in a table cell
+            print(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
         return None, None
     if args.action == "export":
         if args.path is None:
             raise ValueError("device export requires an output path")
-        core.save_device(device, args.path)
+        omx.core.save_device(device, args.path)
         return None, None
     raise ValueError(f"unknown device action {args.action!r}")
 
@@ -194,18 +184,16 @@ def _cmd_device(args) -> tuple:
 def _cmd_cool_curve(args) -> tuple:
     import numpy as np
 
-    from . import core
-
     device = _load_device(args.device)
     heating = _load_heating(args.heating)
-    core._check("nc-min", args.nc_min)
-    core._check("nc-max", args.nc_max)
+    omx.core._check("nc-min", args.nc_min)
+    omx.core._check("nc-max", args.nc_max)
     if not 0 < args.nc_min < args.nc_max:
         raise ValueError("need 0 < nc-min < nc-max")
-    core._check("points", args.points, within=(2, _MAX_ROWS))
+    omx.core._check("points", args.points, within=(2, _MAX_ROWS))
     grid = np.geomspace(args.nc_min, args.nc_max, args.points)
-    curve = core.cooling_curve(device, heating, grid)
-    t_eff = core.temperature_from_occupancy(device.mechanical.omega_m, curve.n_m)
+    curve = omx.core.cooling_curve(device, heating, grid)
+    t_eff = omx.core.temperature_from_occupancy(device.mechanical.omega_m, curve.n_m)
     return {"n_c": curve.n_c, "C": curve.cooperativity,
             "gamma_eff_hz": angular_to_hz(curve.gamma_eff),
             "n_m": curve.n_m, "t_eff_k": t_eff}, None
@@ -216,57 +204,49 @@ def _grid_hz(flag: str, lo: float, hi: float, points: int) -> np.ndarray:
     must stay finite in rad/s: a grid of inf or nan is a usage error."""
     import numpy as np
 
-    from . import core
-
-    core._finite(hz_to_angular(max(abs(lo), abs(hi), abs(hi - lo))),
-                 f"{flag} gives a grid beyond the float range ({lo!r} to {hi!r} Hz)")
+    omx.core._finite(hz_to_angular(max(abs(lo), abs(hi), abs(hi - lo))),
+                     f"{flag} gives a grid beyond the float range ({lo!r} to {hi!r} Hz)")
     return np.linspace(lo, hi, points)
 
 
-def _probe_grid(device: spec.Device, span_hz: float, points: int) -> np.ndarray:
-    from . import core
-
-    core._check("span-hz", span_hz, positive=True)
-    core._check("points", points, within=(2, _MAX_ROWS))
+def _probe_grid(device: omx.spec.Device, span_hz: float, points: int) -> np.ndarray:
+    omx.core._check("span-hz", span_hz, positive=True)
+    omx.core._check("points", points, within=(2, _MAX_ROWS))
     f_m = angular_to_hz(device.mechanical.omega_m)
     return hz_to_angular(_grid_hz("span-hz", f_m - span_hz / 2.0, f_m + span_hz / 2.0,
                                   points))
 
 
 def _cmd_omit(args) -> tuple:
-    from . import core, spectra
-
     device = _load_device(args.device)
     if args.detuning_hz is None:
         detuning = -device.mechanical.omega_m
     else:
-        detuning = core._angular("detuning-hz", args.detuning_hz)
+        detuning = omx.core._angular("detuning-hz", args.detuning_hz)
     probe = _probe_grid(device, args.span_hz, args.points)
-    trace = spectra.omit_reflection(device, args.nc, detuning, probe)
-    return spectra.trace_columns(trace), None
+    trace = omx.spectra.omit_reflection(device, args.nc, detuning, probe)
+    return omx.spectra.trace_columns(trace), None
 
 
 def _cmd_omit_map(args) -> tuple:
     import numpy as np
 
-    from . import core, spectra
-
     device = _load_device(args.device)
     f_m = angular_to_hz(device.mechanical.omega_m)
     lo = -1.5 * f_m if args.detuning_min_hz is None else args.detuning_min_hz
     hi = -0.5 * f_m if args.detuning_max_hz is None else args.detuning_max_hz
-    core._check("detuning-min-hz", lo)
-    core._check("detuning-max-hz", hi)
+    omx.core._check("detuning-min-hz", lo)
+    omx.core._check("detuning-max-hz", hi)
     if not hi > lo:
         raise ValueError("need detuning-min-hz < detuning-max-hz")
-    core._check("detuning-points", args.detuning_points, within=(2, _MAX_ROWS))
+    omx.core._check("detuning-points", args.detuning_points, within=(2, _MAX_ROWS))
     probe = _probe_grid(device, args.span_hz, args.points)
-    core._check("points x detuning-points", probe.size * args.detuning_points,
-                within=(4, _MAX_ROWS))
+    omx.core._check("points x detuning-points", probe.size * args.detuning_points,
+                    within=(4, _MAX_ROWS))
     detunings_hz = _grid_hz("detuning-min-hz/detuning-max-hz", lo, hi,
                             args.detuning_points)
-    mag = np.abs(spectra.omit_reflection_map(device, args.nc, hz_to_angular(detunings_hz),
-                                             probe))
+    mag = np.abs(omx.spectra.omit_reflection_map(device, args.nc,
+                                                 hz_to_angular(detunings_hz), probe))
     return {"detuning_hz": np.repeat(detunings_hz, probe.size),
             "freq_hz": np.tile(angular_to_hz(probe), detunings_hz.size),
             "mag": mag.ravel()}, None
@@ -275,33 +255,27 @@ def _cmd_omit_map(args) -> tuple:
 def _cmd_pulse_sim(args) -> tuple:
     import numpy as np
 
-    from . import core, pulsed
-
-    core._check("pulses", args.pulses, within=(1, _MAX_ROWS * pulsed.BLOCK_PULSES))
+    omx.core._check("pulses", args.pulses, within=(1, _MAX_ROWS * omx.pulsed.BLOCK_PULSES))
     device = _load_device(args.device)
     kernel = _load_kernel(args.kernel)
     tau = args.tau_ns * 1e-9
     window = tau if args.window_ns is None else args.window_ns * 1e-9
-    train = pulsed.PulseTrain(
+    train = omx.pulsed.PulseTrain(
         tau=tau,
         rep_rate=args.rep_rate,
         peak_power=args.peak_power,
         detuning_sign=args.detuning,
         n_pulses=args.pulses,
     )
-    chain = pulsed.DetectionChain(eta=args.eta, dark_rate=args.dark_rate,
-                                  window=window)
+    chain = omx.pulsed.DetectionChain(eta=args.eta, dark_rate=args.dark_rate, window=window)
     sign = -1.0 if args.detuning == "red" else 1.0
-    drive = core.Drive.at_detuning(device.optical, sign * device.mechanical.omega_m,
-                                   on_chip_power=args.peak_power)
+    drive = omx.core.Drive.at_detuning(device.optical, sign * device.mechanical.omega_m,
+                                       on_chip_power=args.peak_power)
     beyond = f"--peak-power {args.peak_power!r} gives {{}} beyond the float range"
-    n_c = core._finite(core.intracavity_photons(device.optical, drive),
-                       beyond.format("an intracavity photon number"))
-    coupling = core._finite(4.0 * device.g0**2 * n_c, beyond.format("a scattering probability"))
-    # the means simulate_clicks draws from, checked before its regime warnings
-    p_s = coupling * tau / device.optical.kappa
-    n_m = pulsed.steady_state_prepulse_occupancy(kernel, train.rep_rate)
-    side = args.eta * p_s * (n_m + 1.0 if sign > 0 else n_m)
+    n_c = omx.core._finite(omx.core.intracavity_photons(device.optical, drive),
+                           beyond.format("an intracavity photon number"))
+    p_s, _, side = omx.pulsed._means(device, train, chain, kernel, n_c)
+    omx.core._finite(p_s, beyond.format("a scattering probability"))
     dark = f"--dark-rate {args.dark_rate!r}"
     if args.window_ns is not None:
         dark += f" with --window-ns {args.window_ns!r}"
@@ -312,59 +286,50 @@ def _cmd_pulse_sim(args) -> tuple:
         except ValueError:
             raise ValueError(f"{given} gives {mean:.3g} counts per pulse, "
                              "beyond the Poisson sampler's range") from None
-    core._check("pulses x counts per pulse", args.pulses * (side + chain.dark_per_pulse),
-                within=(0, _MAX_ROWS))
-    clicks = pulsed.simulate_clicks(device, train, chain, kernel, n_c,
-                                    seed=args.seed, workers=args.workers)
-    return pulsed.click_columns(clicks), None
+    omx.core._check("pulses x counts per pulse", args.pulses * (side + chain.dark_per_pulse),
+                    within=(0, _MAX_ROWS))
+    clicks = omx.pulsed.simulate_clicks(device, train, chain, kernel, n_c,
+                                        seed=args.seed, workers=args.workers)
+    return omx.pulsed.click_columns(clicks), None
 
 
 def _cmd_estimate(args) -> tuple:
-    from . import core, pulsed
-
-    core._check("pulses", args.pulses, ge=1)
-    blue = pulsed.read_clicks_csv(args.blue)
-    red = pulsed.read_clicks_csv(args.red)
+    omx.core._check("pulses", args.pulses, ge=1)
+    blue = omx.pulsed.read_clicks_csv(args.blue)
+    red = omx.pulsed.read_clicks_csv(args.red)
     for clicks in (blue, red):  # a contradicting file is an input error, not exit 1
         clicks.check_within(args.pulses)
-    chain = pulsed.DetectionChain(dark_rate=args.dark_rate,
-                                  window=args.window_ns * 1e-9)
+    chain = omx.pulsed.DetectionChain(dark_rate=args.dark_rate, window=args.window_ns * 1e-9)
     try:  # the files are checked: pass their counts, not a second scan
-        result = pulsed.estimate_occupancy(len(blue), len(red), args.pulses, chain)
+        result = omx.pulsed.estimate_occupancy(len(blue), len(red), args.pulses, chain)
     except ValueError as exc:
         raise RuntimeError(str(exc)) from exc
     return dict(vars(result)), None
 
 
 def _cmd_histogram(args) -> tuple:
-    from . import core, pulsed
-
-    core._check("window-ns", args.window_ns, positive=True)
-    core._check("bin-ns", args.bin_ns, positive=True)
-    core._check("window-ns / bin-ns", args.window_ns / args.bin_ns, within=(0, _MAX_ROWS))
+    omx.core._check("window-ns", args.window_ns, positive=True)
+    omx.core._check("bin-ns", args.bin_ns, positive=True)
+    omx.core._check("window-ns / bin-ns", args.window_ns / args.bin_ns, within=(0, _MAX_ROWS))
     window = args.window_ns * 1e-9
     bin_width = args.bin_ns * 1e-9
-    blue, red = (pulsed.histogram(pulsed.read_clicks_csv(path), bin_width,
-                                  args.pulses, window)
+    blue, red = (omx.pulsed.histogram(omx.pulsed.read_clicks_csv(path), bin_width,
+                                      args.pulses, window)
                  for path in (args.blue, args.red))
-    return pulsed.histogram_columns(blue.bin_start, pulsed.combined_rate(blue),
-                                    pulsed.combined_rate(red)), None
+    return omx.pulsed.histogram_columns(blue.bin_start, omx.pulsed.combined_rate(blue),
+                                        omx.pulsed.combined_rate(red)), None
 
 
 def _cmd_taper(args) -> tuple:
-    from . import core, geometry
-
     design = _load_design(args.device)
-    core._check("cells", args.cells, within=(1, _MAX_ROWS))
-    schedule = geometry.generate_schedule(design, n_cells=args.cells)
-    return geometry.schedule_columns(schedule), None
+    omx.core._check("cells", args.cells, within=(1, _MAX_ROWS))
+    schedule = omx.geometry.generate_schedule(design, n_cells=args.cells)
+    return omx.geometry.schedule_columns(schedule), None
 
 
-def _resolve_rates(args, device: spec.Device | None):
-    from . import core
-
-    kappa = None if args.kappa_hz is None else core._angular("kappa-hz", args.kappa_hz)
-    gamma0 = None if args.gamma0_hz is None else core._angular("gamma0-hz", args.gamma0_hz)
+def _resolve_rates(args, device: omx.spec.Device | None):
+    kappa = None if args.kappa_hz is None else omx.core._angular("kappa-hz", args.kappa_hz)
+    gamma0 = None if args.gamma0_hz is None else omx.core._angular("gamma0-hz", args.gamma0_hz)
     if device is not None:
         kappa = device.optical.kappa if kappa is None else kappa
         gamma0 = device.mechanical.gamma_0 if gamma0 is None else gamma0
@@ -374,46 +339,41 @@ def _resolve_rates(args, device: spec.Device | None):
 
 
 def _cmd_fit(args) -> tuple:
-    from . import core, fitkit, table
-
     out: dict = {"fit": args.kind}
     if args.kind in ("lorentzian", "fano"):
-        from . import spectra
-
-        trace = spectra.read_trace_csv(args.in_path)
+        trace = omx.spectra.read_trace_csv(args.in_path)
         if args.kind == "lorentzian":
-            result = fitkit.fit_lorentzian(trace)
+            result = omx.fitkit.fit_lorentzian(trace)
             angular = ("center", "fwhm", "area")
         else:
-            result = fitkit.fit_fano(trace)
+            result = omx.fitkit.fit_fano(trace)
             angular = ("center", "width")
     elif args.kind == "g0":
-        data = table.read_table(args.in_path)
+        data = omx.table.read_table(args.in_path)
         if "n_c" not in data or "gamma_m_hz" not in data:
             raise ValueError("g0 fit input needs columns n_c,gamma_m_hz[,sigma_hz]")
         if args.branch is None:
             raise ValueError("g0 fit requires --branch red|blue")
         device = None if args.device is None else _load_device(args.device)
         kappa, gamma0 = _resolve_rates(args, device)
-        sigma = (core._angular("sigma_hz", data["sigma_hz"], positive=True)
+        sigma = (omx.core._angular("sigma_hz", data["sigma_hz"], positive=True)
                  if "sigma_hz" in data else None)
-        result = fitkit.fit_g0_from_linewidths(
-            data["n_c"], core._angular("gamma_m_hz", data["gamma_m_hz"]), kappa, gamma0,
+        result = omx.fitkit.fit_g0_from_linewidths(
+            data["n_c"], omx.core._angular("gamma_m_hz", data["gamma_m_hz"]), kappa, gamma0,
             branch=args.branch, sigma=sigma)
         angular = ("slope", "g0")
     elif args.kind == "heating":
-        data = table.read_table(args.in_path)
+        data = omx.table.read_table(args.in_path)
         if "n_c" not in data or "n_m" not in data:
             raise ValueError("heating fit input needs columns n_c,n_m")
         device = _load_device(args.device if args.device is not None else "A")
-        n_th0 = (core.DEFAULT_HEATING.n_th0 if args.n_th0 is None
+        n_th0 = (omx.core.DEFAULT_HEATING.n_th0 if args.n_th0 is None
                  else None if args.n_th0 == "free" else float(args.n_th0))
-        result = fitkit.fit_heating_params(data["n_c"], data["n_m"], device,
-                                           n_th0=n_th0)
+        result = omx.fitkit.fit_heating_params(data["n_c"], data["n_m"], device, n_th0=n_th0)
         angular = ()
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown fit kind {args.kind!r}")
-    out.update(fitkit.result_to_json(result, angular=angular))
+    out.update(omx.fitkit.result_to_json(result, angular=angular))
     return out, None if result.converged else f"fit did not converge: {result.message}"
 
 
@@ -425,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="omx",
         description="Sideband-resolved optomechanics: simulation and analysis tools.",
     )
-    parser.add_argument("--version", action="version", version=f"omx {__version__}")
+    parser.add_argument("--version", action="version", version=f"omx {omx.__version__}")
     subparsers = parser.add_subparsers(dest="_command", metavar="command")
 
     def new(name: str, func, help: str, required=()) -> argparse.ArgumentParser:
@@ -552,12 +512,10 @@ def main(argv=None) -> int:
             raise ValueError(f"missing required flag(s): {', '.join(missing)}")
         output, failure = args._func(args)
         if output is not None:
-            from . import table
-
             if "format" in args:
-                table.write_table(output, args.out, args.format)
+                omx.table.write_table(output, args.out, args.format)
             else:
-                table.write_json(output, args.out)
+                omx.table.write_json(output, args.out)
         sys.stdout.flush()  # a closed pipe fails here, as exit 141 below
         if failure is not None:
             print(f"error: {failure}", file=sys.stderr)

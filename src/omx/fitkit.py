@@ -411,6 +411,9 @@ def fit_heating_params(
     bath = y * damp  # observed bath occupancy
     order = np.argsort(x)
     xs, bs = x[order], bath[order]
+    first = np.searchsorted(xs, 0.0, side="right")  # the smallest positive n_c
+    if first == xs.size:
+        raise ValueError("heating fit needs a positive n_c")
     # seeding the free baseline at the lowest bath point would zero the
     # saturable term's seed; keep a little headroom for it instead
     n00 = 0.95 * float(bs[0]) if free_n0 else float(n_th0)
@@ -418,7 +421,7 @@ def fit_heating_params(
     # slope of the linear tail and saturated plateau seed the coefficients
     a_lin0 = max((excess[-1] - excess[-2]) / (xs[-1] - xs[-2]), 0.0)
     plateau = max(excess[-1] - a_lin0 * xs[-1], 1e-6)
-    a_sat0 = max(excess[0] / xs[0] - a_lin0, 1e-6)
+    a_sat0 = max(excess[first] / xs[first] - a_lin0, 1e-6)
     b_sat0 = max(a_sat0 / plateau, 1e-6)
 
     if free_n0:

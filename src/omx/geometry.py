@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import table
-from .core import _check, _label, _number, _spec_file
+from .core import _check, _label, _number, _resolve, _spec_file
 
 __all__ = [
     "UnitCellParams",
@@ -150,17 +150,14 @@ class TaperSchedule:
 
 
 def generate_schedule(design, n_cells: int = 17) -> TaperSchedule:
-    """Taper tables for d and h from a design preset label or DesignParams.
+    """Taper tables for d and h from DesignParams, a design preset label or the
+    path of a design JSON file.
 
     The preset tables anchor v0 at index 0 and vN at index ``n_cells``
     (the tabulated designs use N = 17).
     """
     if isinstance(design, str):
-        try:
-            design = DESIGN_PRESETS[design]
-        except KeyError:
-            raise KeyError(f"unknown design preset {design!r}; "
-                           f"available: {sorted(DESIGN_PRESETS)}") from None
+        design = _resolve("design", design, DESIGN_PRESETS, design_from_json)
     idx = np.arange(n_cells + 1)
     d_table = taper_value(idx, design.d0, design.d17, design.delta_x, design.m_exp)
     h_table = taper_value(idx, design.h0, design.h17, design.delta_x, design.m_exp)

@@ -377,6 +377,15 @@ def _block_clicks(seed: int, block_index: int, n_block: int, base_index: int,
     return pulse[order], times[order], label[order]
 
 
+def _means(device: Device, train: PulseTrain, chain: DetectionChain, kernel: HeatingKernel,
+           n_c: float) -> tuple[float, float, float]:
+    """(p_s, n, sideband count per pulse) of ``train``: the means
+    ``simulate_clicks`` draws from, unchecked and without its warnings."""
+    p_s = 4.0 * device.g0**2 * n_c * train.tau / device.optical.kappa
+    n_m = steady_state_prepulse_occupancy(kernel, train.rep_rate)
+    return p_s, n_m, chain.eta * p_s * (n_m + 1.0 if train.detuning_sign == "blue" else n_m)
+
+
 def simulate_clicks(device: Device, train: PulseTrain, chain: DetectionChain,
                     kernel: HeatingKernel, n_c: float, seed: int = 0,
                     workers: int = 1) -> ClickStream:
@@ -392,12 +401,8 @@ def simulate_clicks(device: Device, train: PulseTrain, chain: DetectionChain,
     precede dark clicks.
     """
     _check("workers", workers, ge=1)
-    p_s = scattering_probability(device, n_c, train.tau)
-    n_m = steady_state_prepulse_occupancy(kernel, train.rep_rate)
-    if train.detuning_sign == "blue":
-        mu_side = chain.eta * p_s * (n_m + 1.0)
-    else:
-        mu_side = chain.eta * p_s * n_m
+    scattering_probability(device, n_c, train.tau)  # checks n_c and tau; warns above 0.2
+    p_s, n_m, mu_side = _means(device, train, chain, kernel, n_c)
     if chain.eta * p_s * (n_m + 1.0) > 0.5:
         warnings.warn("expected sideband count per pulse exceeds 0.5; "
                       "Poisson single-scattering picture is marginal", stacklevel=2)

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "format_cell", "write_table", "write_json", "read_table"]
+__all__ = ["CHUNK_ROWS", "write_table", "write_json", "read_table"]
 
 CHUNK_ROWS = 16384
 
@@ -84,11 +84,6 @@ def _numbers(values: np.ndarray) -> list:
         for k, value in zip(other.tolist(), values[other].tolist()):
             cells[k] = repr(value)
     return cells
-
-
-def format_cell(value) -> str:
-    """One scalar as a table cell."""
-    return _cells(np.asarray([value]), False)[0]
 
 
 def _open(out):

@@ -255,6 +255,19 @@ class TestPulseCommands:
         assert proc.stderr == (f"error: --peak-power {float(power)!r} gives a scattering "
                                "probability beyond the float range\n")
 
+    def test_scattering_probability_beyond_the_float_range_names_the_flag(self, capsys,
+                                                                           tmp_path):
+        """A tiny kappa: 4 g0^2 n_c is finite, p_s = 4 g0^2 n_c tau / kappa is not."""
+        spec = dict(label="narrow", omega_c_hz=1.939e14, kappa_hz=1e-9, kappa_e_hz=1e-9,
+                    g0_hz=889e3, omega_m_hz=7.259e9, gamma0_hz=715e3)
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "pulse-sim", "--device", str(path), "--pulses", "10",
+                             "--peak-power", "1e304")
+        assert (code, out) == (2, "")
+        assert err == ("error: --peak-power 1e+304 gives a scattering probability "
+                       "beyond the float range\n")
+
     @pytest.mark.parametrize("flag, value, mean", [
         ("--peak-power", "1e200", "3.45e+202"),
         ("--peak-power", "1e20", "3.45e+22"),
@@ -267,6 +280,20 @@ class TestPulseCommands:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: {flag} {float(value)!r} gives {mean} counts per "
                                "pulse, beyond the Poisson sampler's range\n")
+
+    def test_poisson_range_checks_the_simulators_own_mean(self, capsys, monkeypatch):
+        """The handler checks the sideband mean that ``simulate_clicks`` draws
+        from, whatever the model that gives it."""
+        means = pulsed._means
+
+        def huge(*args):
+            p_s, n_m, _ = means(*args)
+            return p_s, n_m, 1e30
+        monkeypatch.setattr(pulsed, "_means", huge)
+        code, out, err = run(capsys, "pulse-sim", "--pulses", "10")
+        assert (code, out) == (2, "")
+        assert err == ("error: --peak-power 7.4e-06 gives 1e+30 counts per pulse, "
+                       "beyond the Poisson sampler's range\n")
 
     def test_dark_mean_beyond_the_poisson_range_names_the_gate_too(self, capsys):
         code, out, err = run(capsys, "pulse-sim", "--pulses", "10", "--window-ns", "1e300")
@@ -840,6 +867,48 @@ class TestFitCommand:
         assert code == 0
         result = json.loads(out)
         assert result["params"]["n_th0"]["value"] == pytest.approx(7.95, rel=1e-6)
+
+    @pytest.fixture
+    def anchored_curve(self, capsys, tmp_path):
+        """A ``cool-curve`` table with its laser-off row prepended: n_c = 0,
+        where n_m is the bath occupancy n_th0."""
+        code, out, _ = run(capsys, "cool-curve", "--points", "30")
+        assert code == 0
+        header, rows = parse_csv(out)
+        n_c, n_m = header.index("n_c"), header.index("n_m")
+        path = tmp_path / "anchored.csv"
+        path.write_text("n_c,n_m\n0,7.95\n" + "".join(f"{row[n_c]},{row[n_m]}\n"
+                                                      for row in rows))
+        return str(path)
+
+    def test_heating_fit_of_a_curve_with_its_laser_off_anchor(self, capsys, anchored_curve):
+        code, out, err = run(capsys, "fit", "heating", "--in", anchored_curve)
+        assert (code, err) == (0, "")
+        params = json.loads(out)["params"]
+        for name, truth in (("alpha_sat", 0.324), ("beta_sat", 0.019), ("alpha_lin", 0.003)):
+            assert params[name]["value"] == pytest.approx(truth, rel=1e-6)
+
+    @pytest.mark.filterwarnings("ignore:singular Jacobian")  # beta_sat, with or without 0
+    def test_heating_fit_of_a_curve_with_its_anchor_and_a_free_baseline(self, capsys, tmp_path,
+                                                                       anchored_curve):
+        """Gives the values of the same fit without the anchor row."""
+        plain = tmp_path / "plain.csv"
+        lines = Path(anchored_curve).read_text().splitlines(keepends=True)
+        plain.write_text(lines[0] + "".join(lines[2:]))
+        fits = []
+        for path in (anchored_curve, plain):
+            code, out, _ = run(capsys, "fit", "heating", "--in", str(path), "--n-th0", "free")
+            assert code == 0
+            fits.append({k: p["value"] for k, p in json.loads(out)["params"].items()})
+        assert fits[0]["n_th0"] == pytest.approx(7.95, rel=1e-6)
+        assert fits[0] == pytest.approx(fits[1], rel=1e-6)
+
+    @pytest.mark.parametrize("n_th0", [[], ["--n-th0", "free"]], ids=["fixed", "free"])
+    def test_heating_fit_without_a_positive_n_c_names_it(self, capsys, tmp_path, n_th0):
+        path = tmp_path / "laser_off.csv"
+        path.write_text("n_c,n_m\n" + "".join(f"0,{7.95 + k / 100}\n" for k in range(6)))
+        code, out, err = run(capsys, "fit", "heating", "--in", str(path), *n_th0)
+        assert (code, out, err) == (2, "", "error: heating fit needs a positive n_c\n")
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "fit", "lorentzian", "--in", "/nonexistent.csv")

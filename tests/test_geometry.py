@@ -1,5 +1,7 @@
 """Tests for unit-cell parameters and adiabatic taper schedules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,21 @@ class TestSchedule:
     def test_unknown_label(self):
         with pytest.raises(KeyError):
             geometry.generate_schedule("Z")
+
+    def test_unknown_label_is_named_as_every_spec_is(self):
+        with pytest.raises(KeyError) as exc:
+            geometry.generate_schedule("Z")
+        assert exc.value.args == ("Z: unknown design preset or file",)
+
+    def test_generate_from_a_design_file(self, tmp_path):
+        design = dataclasses.replace(geometry.DESIGN_PRESETS["A"], label="wide", d17=130.0)
+        path = tmp_path / "wide.json"
+        geometry.save_design(design, path)
+        schedule = geometry.generate_schedule(str(path))
+        expected = geometry.generate_schedule(design)
+        for name in ("d", "h"):
+            np.testing.assert_array_equal(schedule.values[name], expected.values[name])
+        assert schedule.values["d"][-1] == pytest.approx(130.0, rel=1e-9)
 
     def test_cells_are_valid_unit_cells(self):
         schedule = geometry.generate_schedule("B")

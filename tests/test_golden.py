@@ -92,10 +92,16 @@ LARGE = {
 }
 
 
+DIGESTS = dict(line.split()[::-1] for line in
+               (GOLDEN / "large.sha256").read_text().splitlines())
+
+# a table is split only where the CPUs a process may use are known
+SPLITS = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                            reason="no os.sched_getaffinity on this platform")
+
+
 @pytest.mark.parametrize("name", list(LARGE))
 def test_large_table_matches_its_digest(tmp_path, name):
-    digests = dict(line.split()[::-1] for line in
-                   (GOLDEN / "large.sha256").read_text().splitlines())
     argv, to_file = LARGE[name]
     path = tmp_path / name
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -110,4 +116,33 @@ def test_large_table_matches_its_digest(tmp_path, name):
     if to_file:
         assert piped.digest() == hashlib.sha256(b"").digest()  # nothing on stdout
     written = hashlib.sha256(path.read_bytes()) if to_file else piped
-    assert written.hexdigest() == digests[name]
+    assert written.hexdigest() == DIGESTS[name]
+
+
+@SPLITS
+def test_large_tables_written_on_one_cpu_match_their_digests(capsys, tmp_path, monkeypatch):
+    """One process writes the ``omit-map`` tables with the pinned bytes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for name in ("omit_map_401.csv", "omit_map_41.json"):
+        path = tmp_path / name
+        assert main([*LARGE[name][0], "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+    assert capsys.readouterr() == ("", "")
+
+
+@SPLITS
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_large_table_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, fmt):
+    """The ``cool-curve`` grid's bytes depend on the host (numpy's kernels), so
+    one CPU is compared with two, and no digest is pinned."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    written = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        path = tmp_path / f"{len(cpus)}.{fmt}"
+        assert main(["cool-curve", "--device", "A", "--points", "100000", "--format", fmt,
+                     "--out", str(path)]) == 0
+        written.append(path.read_bytes())
+    assert len(forks) == 1  # only the write on two CPUs was split
+    assert written[0] == written[1]
