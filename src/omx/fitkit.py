@@ -418,8 +418,13 @@ def fit_heating_params(
     # saturable term's seed; keep a little headroom for it instead
     n00 = 0.95 * float(bs[0]) if free_n0 else float(n_th0)
     excess = bs - n00
-    # slope of the linear tail and saturated plateau seed the coefficients
-    a_lin0 = max((excess[-1] - excess[-2]) / (xs[-1] - xs[-2]), 0.0)
+    # slope of the linear tail (through the two largest distinct n_c, so a
+    # repeated last measurement divides by no zero) and saturated plateau
+    # seed the coefficients
+    below = np.searchsorted(xs, xs[-1]) - 1
+    if below < 0:
+        raise ValueError("heating fit needs two distinct n_c")
+    a_lin0 = max((excess[-1] - excess[below]) / (xs[-1] - xs[below]), 0.0)
     plateau = max(excess[-1] - a_lin0 * xs[-1], 1e-6)
     a_sat0 = max(excess[first] / xs[first] - a_lin0, 1e-6)
     b_sat0 = max(a_sat0 / plateau, 1e-6)

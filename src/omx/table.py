@@ -1,17 +1,18 @@
 """The one table codec: named, equal-length columns as CSV or JSON.
 
 CSV is a header row, then one ``\\n``-terminated row per entry, written
-``CHUNK_ROWS`` rows at a time. A cell is ``str(int)``, ``repr(float)`` (so
-floats round-trip exactly), ``true``/``false`` or the string itself. A number
-is orjson's text, which equals that for a bool, an int and a float x == 0 or
-1e-4 <= |x| < 1e16; ``repr`` formats any other float. It is read back by
-numpy's C parser in one call; ``csv`` scans a file again only to name the line
-of a fault. JSON is one indented object mapping each name to its column as a
-list, written from the same cells (a string is JSON-quoted); its bytes are
-those of ``json.dumps(..., indent=2)``. A large table is encoded on up to one
-process per CPU this process may use, and its bytes do not depend on how many.
-Each file layout lives next to its type (``pulsed.click_columns``,
-``spectra.trace_columns``, ...).
+``CHUNK_ROWS`` rows at a time: one chunk's cells, rows and text are all the
+encoder holds, whatever the size of the table. A cell is ``str(int)``,
+``repr(float)`` (so floats round-trip exactly), ``true``/``false`` or the
+string itself. A number is orjson's text, which equals that for a bool, an int
+and a float x == 0 or 1e-4 <= |x| < 1e16; ``repr`` formats any other float. It
+is read back by numpy's C parser in one call; ``csv`` scans a file again only
+to name the line of a fault. JSON is one indented object mapping each name to
+its column as a list, written from the same cells (a string is JSON-quoted);
+its bytes are those of ``json.dumps(..., indent=2)``. A large table is encoded
+on up to one process per CPU this process may use, and its bytes do not depend
+on how many. Each file layout lives next to its type
+(``pulsed.click_columns``, ``spectra.trace_columns``, ...).
 """
 
 from __future__ import annotations
@@ -31,7 +32,17 @@ import numpy as np
 
 __all__ = ["CHUNK_ROWS", "write_table", "write_json", "read_table"]
 
-CHUNK_ROWS = 16384
+# One chunk's cells, rows and text are the encoder's working memory, about
+# 0.3 KiB a row: 1.2 MiB in tracemalloc for 4,096 rows of a click stream, 5 MiB
+# for 16,384. On a shared 2-vCPU x86 VM no one-CPU encode of a click stream, a
+# 1e5-point cool-curve or an omit-map table was slower at 4,096 rows than at
+# 16,384; at 2,048 the fixed work per chunk began to show.
+CHUNK_ROWS = 4096
+
+# The first values of a float column, which decide whether it is a grid axis
+# (``_repeats``) and whose distinct values are formatted once per table
+# (``_grid``); a fixed sample, so that neither moves with CHUNK_ROWS.
+_REPEAT_SAMPLE = 16384
 
 # A float cell costs 0.1-0.2 us to encode on a shared 2-vCPU x86 VM (orjson's
 # text and the row joins; 0.2 in a cool-curve table), so a table's float cells
@@ -45,24 +56,42 @@ _CELLS_PER_PROCESS = 250_000
 
 
 def _repeats(values: np.ndarray) -> bool:
-    """Whether fewer than half of the first ``CHUNK_ROWS`` values of a float64
-    column are distinct (a grid axis); the bit pattern keeps -0.0 apart from
-    0.0. Sorting, not ``np.unique``, which would import ``numpy.ma``."""
+    """Whether fewer than half of the first ``_REPEAT_SAMPLE`` values of a
+    float64 column are distinct (a grid axis); the bit pattern keeps -0.0
+    apart from 0.0. Sorting, not ``np.unique``, which would import
+    ``numpy.ma``."""
     if values.dtype != np.float64:
         return False
-    bits = np.sort(values[:CHUNK_ROWS].view(np.int64))
+    bits = np.sort(values[:_REPEAT_SAMPLE].view(np.int64))
     return 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) < bits.size
 
 
-def _cells(values: np.ndarray, repeats: bool) -> list:
-    """The cells of a 1-d column. Where ``repeats`` (``_repeats`` of the
-    column), each distinct float is formatted once."""
+def _grid(values: np.ndarray):
+    """(sorted bit patterns, cells) of the distinct values among the first
+    ``_REPEAT_SAMPLE`` of a grid axis (``_repeats``); None for any other
+    column."""
+    if not _repeats(values):
+        return None
+    bits = np.sort(values[:_REPEAT_SAMPLE].view(np.int64))
+    keys = bits[np.append(True, bits[1:] != bits[:-1])]
+    return keys, np.array(_numbers(keys.view(np.float64)), object)
+
+
+def _cells(values: np.ndarray, grid) -> list:
+    """The cells of a 1-d column. Where ``grid`` (``_grid`` of the column) is
+    given, a chunk whose values are all in its sample takes their cells from
+    it, and any other chunk formats each of its distinct floats once."""
     if values.dtype.kind not in "biuf":
         return list(map(str, values.tolist()))
-    if repeats:
-        bits, index = np.unique(values.view(np.int64), return_inverse=True)
-        return np.array(_numbers(bits.view(np.float64)), object)[index].tolist()
-    return _numbers(values)
+    if grid is None:
+        return _numbers(values)
+    keys, text = grid
+    bits = values.view(np.int64)
+    at = np.minimum(np.searchsorted(keys, bits), keys.size - 1)
+    if np.array_equal(keys[at], bits):
+        return text[at].tolist()
+    bits, index = np.unique(bits, return_inverse=True)
+    return np.array(_numbers(bits.view(np.float64)), object)[index].tolist()
 
 
 def _numbers(values: np.ndarray) -> list:
@@ -127,7 +156,7 @@ def write_table(columns: dict, out=None, fmt: str = "csv") -> None:
     # int.__repr__, as _cells does, so JSON is written from the same cells;
     # indent=2 would run json's pure-Python encoder instead
     encoders = [_json_strings if fmt == "json" and c.dtype.kind not in "biuf"
-                else partial(_cells, repeats=_repeats(c)) for c in cols.values()]
+                else partial(_cells, grid=_grid(c)) for c in cols.values()]
     pieces = (_json_pieces if fmt == "json" else _csv_pieces)(cols, encoders)
     with _open(out) as fh:
         _emit(pieces, fh)

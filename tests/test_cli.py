@@ -903,12 +903,33 @@ class TestFitCommand:
         assert fits[0]["n_th0"] == pytest.approx(7.95, rel=1e-6)
         assert fits[0] == pytest.approx(fits[1], rel=1e-6)
 
+    def test_heating_fit_of_a_curve_with_its_last_row_repeated(self, capsys, tmp_path):
+        """The two largest n_c are equal, as after a repeated last measurement:
+        the fit is that of the curve without the repeat."""
+        code, curve, _ = run(capsys, "cool-curve", "--points", "30")
+        assert code == 0
+        plain, repeated = tmp_path / "plain.csv", tmp_path / "repeated.csv"
+        plain.write_text(curve)
+        repeated.write_text(curve + curve.splitlines(keepends=True)[-1])
+        fits = []
+        for path in (repeated, plain):
+            code, out, err = run(capsys, "fit", "heating", "--in", str(path))
+            assert (code, err) == (0, "")
+            fits.append({k: p["value"] for k, p in json.loads(out)["params"].items()})
+        assert fits[0] == pytest.approx(fits[1], rel=1e-6)
+
     @pytest.mark.parametrize("n_th0", [[], ["--n-th0", "free"]], ids=["fixed", "free"])
     def test_heating_fit_without_a_positive_n_c_names_it(self, capsys, tmp_path, n_th0):
         path = tmp_path / "laser_off.csv"
         path.write_text("n_c,n_m\n" + "".join(f"0,{7.95 + k / 100}\n" for k in range(6)))
         code, out, err = run(capsys, "fit", "heating", "--in", str(path), *n_th0)
         assert (code, out, err) == (2, "", "error: heating fit needs a positive n_c\n")
+
+    def test_heating_fit_of_a_single_n_c_names_it(self, capsys, tmp_path):
+        path = tmp_path / "one_power.csv"
+        path.write_text("n_c,n_m\n" + "".join(f"100,{1 + k / 100}\n" for k in range(6)))
+        code, out, err = run(capsys, "fit", "heating", "--in", str(path))
+        assert (code, out, err) == (2, "", "error: heating fit needs two distinct n_c\n")
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "fit", "lorentzian", "--in", "/nonexistent.csv")

@@ -8,6 +8,7 @@ import re
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,7 +50,7 @@ def naive_csv(columns: dict) -> str:
 
 def cells(column) -> list:
     """The cells write_table gives a column."""
-    return table._cells(column, table._repeats(column))
+    return table._cells(column, table._grid(column))
 
 
 class TestCells:
@@ -222,6 +223,52 @@ class TestJson:
         assert not path.exists()
 
 
+class TestChunks:
+    """A table is encoded ``CHUNK_ROWS`` rows at a time: the chunk bounds the
+    encoder's memory and changes no byte."""
+
+    @staticmethod
+    def grid_table() -> dict:
+        """int, bool, label and float columns past the grid-axis sample: a
+        probe axis repeating every 5,000 rows (more than ``CHUNK_ROWS``, fewer
+        than the sample), a sweep axis with values the sample does not hold,
+        and random floats."""
+        n = table._REPEAT_SAMPLE + 2345
+        index = np.arange(n)
+        return {"index": index - n // 2, "ok": index % 3 == 0,
+                "label": np.array(LABELS)[index % 3],
+                "detuning_hz": np.repeat(np.linspace(-1e10, 5e9, 9), 2500)[:n],
+                "probe_hz": np.tile(np.linspace(6e9, 8e9, 5000), n // 5000 + 1)[:n],
+                "noise": np.random.default_rng(3).standard_normal(n) * 1e3}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, fmt):
+        columns = self.grid_table()
+        want = json_bytes(columns) if fmt == "json" else naive_csv(columns)
+        for rows in (1, 3, table.CHUNK_ROWS, 16384):
+            monkeypatch.setattr(table, "CHUNK_ROWS", rows)
+            assert table._repeats(columns["probe_hz"]) and table._repeats(columns["detuning_hz"])
+            table.write_table(columns, tmp_path / "t", fmt)
+            assert_same_text((tmp_path / "t").read_text(), want)
+
+    def test_memory_does_not_grow_with_the_table(self, tmp_path, monkeypatch):
+        """On one process, the peak of the Python allocations made while a
+        table of three float columns is written is about one chunk's."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        rng, peaks = np.random.default_rng(5), []
+        for chunks in (8, 64):
+            columns = {name: rng.random(chunks * table.CHUNK_ROWS) * 1e3 for name in "xyz"}
+            tracemalloc.start()
+            try:
+                table.write_table(columns, tmp_path / "t.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+        # 1.5 MiB at 4,096 rows a chunk (python 3.11, numpy 2.4), 6 MiB at 16,384
+        assert peaks[1] < 2.5 * 2**20
+
+
 def wide_table() -> dict:
     """A table of 8 chunks and a bit: int, float, bool and label columns, the
     floats repeating, distinct and at the edges of their formatting."""
@@ -332,12 +379,18 @@ class TestProcesses:
 
     def test_interrupt_exits_130_and_leaves_no_child(self, tmp_path, monkeypatch, capfd,
                                                      forks):
-        """Ctrl-C while this process encodes its first job of a split table."""
-        parent, chunk = os.getpid(), table._csv_chunk
+        """Ctrl-C while this process encodes its first job of a split table.
+        Each child holds its first job until then, so no child can take job 0
+        first, whichever process the scheduler runs."""
+        parent, chunk, raised = os.getpid(), table._csv_chunk, tmp_path / "raised"
 
         def interrupted(*args):
             if os.getpid() == parent:
+                raised.touch()
                 raise KeyboardInterrupt
+            deadline = time.monotonic() + 10
+            while not raised.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
             return chunk(*args)
         monkeypatch.setattr(table, "_csv_chunk", interrupted)
         out = tmp_path / "curve.csv"
