@@ -245,11 +245,23 @@ def _cmd_omit_map(args) -> tuple:
                     within=(4, _MAX_ROWS))
     detunings_hz = _grid_hz("detuning-min-hz/detuning-max-hz", lo, hi,
                             args.detuning_points)
-    mag = np.abs(omx.spectra.omit_reflection_map(device, args.nc,
-                                                 hz_to_angular(detunings_hz), probe))
-    return {"detuning_hz": np.repeat(detunings_hz, probe.size),
-            "freq_hz": np.tile(angular_to_hz(probe), detunings_hz.size),
-            "mag": mag.ravel()}, None
+    freq_hz, n = angular_to_hz(probe), probe.size
+
+    def mag(d: np.ndarray) -> np.ndarray:
+        return np.abs(omx.spectra.omit_reflection_map(device, args.nc, hz_to_angular(d), probe))
+
+    mag(detunings_hz[:0])  # checks n_c here, before --out is opened
+
+    def rows(block) -> omx.table.Rows:  # a column made by block(detunings) of whole rows
+        def compute(start: int, stop: int) -> np.ndarray:
+            first = start // n
+            values = block(detunings_hz[first:-(-stop // n)]).ravel()
+            return values[start - first * n:stop - first * n]
+        return omx.table.Rows(detunings_hz.size * n, compute)
+
+    return {"detuning_hz": rows(lambda d: np.repeat(d, n)),
+            "freq_hz": rows(lambda d: np.tile(freq_hz, d.size)),
+            "mag": rows(mag)}, None
 
 
 def _cmd_pulse_sim(args) -> tuple:
@@ -366,10 +378,12 @@ def _cmd_fit(args) -> tuple:
         data = omx.table.read_table(args.in_path)
         if "n_c" not in data or "n_m" not in data:
             raise ValueError("heating fit input needs columns n_c,n_m")
+        n_c, n_m = data["n_c"], data["n_m"]
+        del data  # a cool-curve table's other columns are not held through the fit
         device = _load_device(args.device if args.device is not None else "A")
         n_th0 = (omx.core.DEFAULT_HEATING.n_th0 if args.n_th0 is None
                  else None if args.n_th0 == "free" else float(args.n_th0))
-        result = omx.fitkit.fit_heating_params(data["n_c"], data["n_m"], device, n_th0=n_th0)
+        result = omx.fitkit.fit_heating_params(n_c, n_m, device, n_th0=n_th0)
         angular = ()
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown fit kind {args.kind!r}")

@@ -110,11 +110,16 @@ def _fano_jac(x, p):
 DAMPING = (0.0, *(10.0**k for k in range(-3, 13)))
 
 
-def _scaled(J: np.ndarray):
-    """Column norms of J, its nonzero columns, and those scaled to unit norm."""
-    col = np.sqrt((J**2).sum(axis=0))
+def _factor(J: np.ndarray, r: np.ndarray):
+    """Column norms of J, its nonzero columns, and R and Q^T r for Js = QR, Js those columns
+    at unit norm: from the R of [J r], built 4,096 rows at a time, so J is never copied whole."""
+    col = np.sqrt(np.einsum("ij,ij->j", J, J))
     active = col > 0
-    return col, active, J[:, active] / col[active]
+    R = np.zeros((np.count_nonzero(active) + 1,) * 2)  # zero rows change no R^T R
+    for k in range(0, len(J), 4096):
+        block = np.column_stack([J[k:k + 4096, active], r[k:k + 4096]])
+        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    return col, active, R[:-1, :-1] / col[active], R[:-1, -1]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -130,11 +135,11 @@ def gauss_newton(
 ) -> FitResult:
     """Gauss-Newton on unit-norm Jacobian columns with projection onto bounds.
 
-    Each iteration solves ``[Js; sqrt(lam) I] dz = -[r; 0]`` for lam in
-    ``DAMPING`` (0, then 1e-3 ... 1e12, Levenberg-Marquardt) and takes the
-    first step that does not raise the cost. Exactly-zero columns are frozen
-    (with a one-time warning); the covariance uses the same column scaling.
-    Convergence: relative step < ``step_tol`` or relative cost change < ``cost_tol``.
+    Each iteration factors the scaled Jacobian once, Js = QR (More 1978), and solves
+    ``[R; sqrt(lam) I] dz = -[Q^T r; 0]`` for lam in ``DAMPING`` (0, then 1e-3 ... 1e12,
+    Levenberg-Marquardt), taking the first step that does not raise the cost. Exactly-zero
+    columns are frozen (with a one-time warning); the covariance uses the same column
+    scaling. Convergence: relative step < ``step_tol`` or relative cost change < ``cost_tol``.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -150,7 +155,7 @@ def gauss_newton(
     warned_freeze = False
 
     for iterations in range(1, max_iter + 1):
-        col, active, Js = _scaled(np.asarray(jacobian_fn(x), dtype=float))
+        col, active, R, qtr = _factor(np.asarray(jacobian_fn(x), dtype=float), r)
         if not active.any():
             message = "all parameters frozen (zero Jacobian)"
             break
@@ -159,11 +164,12 @@ def gauss_newton(
             # level 3 skips the np.errstate decorator's wrapper to reach the caller
             warnings.warn(f"singular Jacobian: freezing parameter(s) {frozen}", stacklevel=3)
             warned_freeze = True
+        rcond = np.finfo(float).eps * max(r.size, R.shape[1])  # lstsq's own for Js, r.size rows
         for lam in DAMPING:
-            A = np.vstack([Js, math.sqrt(lam) * np.eye(Js.shape[1])]) if lam else Js
-            b = np.concatenate([-r, np.zeros(Js.shape[1])]) if lam else -r
+            A = np.vstack([R, math.sqrt(lam) * np.eye(R.shape[1])]) if lam else R
+            b = np.concatenate([-qtr, np.zeros(R.shape[1])]) if lam else -qtr
             dx = np.zeros(n)
-            dx[active] = np.linalg.lstsq(A, b, rcond=None)[0] / col[active]
+            dx[active] = np.linalg.lstsq(A, b, rcond=rcond)[0] / col[active]
             x_try = np.clip(x + dx, lo, hi)
             r_try = residual_fn(x_try)
             cost_try = float(r_try @ r_try)
@@ -191,12 +197,12 @@ def _fit_result(names, x, cost, jacobian_fn, converged, iterations, message) -> 
     x = np.asarray(x, dtype=float)
     covariance, stderr = None, {}
     if converged:
-        col, active, Js = _scaled(np.asarray(jacobian_fn(x), dtype=float))
-        m, p = Js.shape
-        s2 = cost / (m - p) if m > p else 0.0
+        J = np.asarray(jacobian_fn(x), dtype=float)
+        col, active, R, _ = _factor(J, np.zeros(len(J)))
+        s2 = cost / (len(J) - R.shape[1]) if len(J) > R.shape[1] else 0.0
         covariance = np.zeros((x.size, x.size))
-        if p:
-            cov_a = s2 * np.linalg.pinv(Js.T @ Js) / np.outer(col[active], col[active])
+        if R.shape[1]:  # Js^T Js = R^T R
+            cov_a = s2 * np.linalg.pinv(R.T @ R) / np.outer(col[active], col[active])
             covariance[np.ix_(active, active)] = 0.5 * (cov_a + cov_a.T)
         stderr = {name: math.sqrt(max(covariance[i, i], 0.0)) for i, name in enumerate(names)}
     return FitResult(dict(zip(names, x.tolist())), names, covariance, math.sqrt(cost),
@@ -424,43 +430,36 @@ def fit_heating_params(
     below = np.searchsorted(xs, xs[-1]) - 1
     if below < 0:
         raise ValueError("heating fit needs two distinct n_c")
+    # fewer distinct n_c than coefficients would fit one from no data, at stderr 0
+    distinct = 1 + np.count_nonzero(np.diff(xs[0 if free_n0 else first:]))
+    if distinct < (4 if free_n0 else 3):
+        raise ValueError(f"heating fit needs {'4 distinct' if free_n0 else '3 distinct positive'}"
+                         f" n_c, the table has {distinct}")
     a_lin0 = max((excess[-1] - excess[below]) / (xs[-1] - xs[below]), 0.0)
     plateau = max(excess[-1] - a_lin0 * xs[-1], 1e-6)
     a_sat0 = max(excess[first] / xs[first] - a_lin0, 1e-6)
     b_sat0 = max(a_sat0 / plateau, 1e-6)
+    del bath, order, xs, bs, excess  # not held through the fit
 
+    names: tuple[str, ...] = ("alpha_sat", "beta_sat", "alpha_lin")
+    p0 = [a_sat0, b_sat0, a_lin0]
     if free_n0:
-        names: tuple[str, ...] = ("n_th0", "alpha_sat", "beta_sat", "alpha_lin")
-        p0 = [n00, a_sat0, b_sat0, a_lin0]
-    else:
-        names = ("alpha_sat", "beta_sat", "alpha_lin")
-        p0 = [a_sat0, b_sat0, a_lin0]
-
-    def unpack(p):
-        if free_n0:
-            return p[0], p[1], p[2], p[3]
-        return n00, p[0], p[1], p[2]
+        names, p0 = ("n_th0", *names), [n00, *p0]
 
     def residual(p):
-        n0, a_s, b_s, a_l = unpack(p)
+        n0, a_s, b_s, a_l = p if free_n0 else (n00, *p)
         return (n0 + a_s * x / (1.0 + b_s * x) + a_l * x) / damp - y
 
     def jacobian(p):
-        n0, a_s, b_s, a_l = unpack(p)
+        n0, a_s, b_s, a_l = p if free_n0 else (n00, *p)
         sat = x / (1.0 + b_s * x)
         cols = [sat / damp, -a_s * sat**2 / damp, x / damp]
         if free_n0:
             cols.insert(0, 1.0 / damp)
         return np.column_stack(cols)
 
-    k = len(names)
-    result = gauss_newton(
-        residual,
-        jacobian,
-        p0,
-        names,
-        bounds=(np.zeros(k), np.full(k, np.inf)),
-    )
+    result = gauss_newton(residual, jacobian, p0, names,
+                          bounds=(np.zeros(len(p0)), np.full(len(p0), np.inf)))
     if not free_n0:
         result.params["n_th0"] = n00
     return result

@@ -9,10 +9,11 @@ and a float x == 0 or 1e-4 <= |x| < 1e16; ``repr`` formats any other float. It
 is read back by numpy's C parser in one call; ``csv`` scans a file again only
 to name the line of a fault. JSON is one indented object mapping each name to
 its column as a list, written from the same cells (a string is JSON-quoted);
-its bytes are those of ``json.dumps(..., indent=2)``. A large table is encoded
-on up to one process per CPU this process may use, and its bytes do not depend
-on how many. Each file layout lives next to its type
-(``pulsed.click_columns``, ``spectra.trace_columns``, ...).
+its bytes are those of ``json.dumps(..., indent=2)``. A column is an array, or
+a float column computed for each row range (``Rows``), which is never held
+whole. A large table is encoded on up to one process per CPU this process may
+use, and its bytes do not depend on how many. Each file layout lives next to
+its type (``pulsed.click_columns``, ``spectra.trace_columns``, ...).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "write_table", "write_json", "read_table"]
+__all__ = ["CHUNK_ROWS", "Rows", "write_table", "write_json", "read_table"]
 
 # One chunk's cells, rows and text are the encoder's working memory, about
 # 0.3 KiB a row: 1.2 MiB in tracemalloc for 4,096 rows of a click stream, 5 MiB
@@ -55,6 +56,21 @@ _REPEAT_SAMPLE = 16384
 _CELLS_PER_PROCESS = 250_000
 
 
+class Rows:
+    """A float64 column of ``size`` rows that ``fn(start, stop)`` computes for
+    each row range, sliced as an array is: the encoder computes one chunk at a
+    time, and a forked child its own chunks."""
+
+    dtype = np.dtype(np.float64)
+    ndim = 1
+
+    def __init__(self, size: int, fn):
+        self.size, self.fn = size, fn
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.fn(*rows.indices(self.size)[:2])
+
+
 def _repeats(values: np.ndarray) -> bool:
     """Whether fewer than half of the first ``_REPEAT_SAMPLE`` values of a
     float64 column are distinct (a grid axis); the bit pattern keeps -0.0
@@ -70,9 +86,10 @@ def _grid(values: np.ndarray):
     """(sorted bit patterns, cells) of the distinct values among the first
     ``_REPEAT_SAMPLE`` of a grid axis (``_repeats``); None for any other
     column."""
-    if not _repeats(values):
+    sample = values[:_REPEAT_SAMPLE]  # computed once, for a Rows column
+    if not _repeats(sample):
         return None
-    bits = np.sort(values[:_REPEAT_SAMPLE].view(np.int64))
+    bits = np.sort(sample.view(np.int64))
     keys = bits[np.append(True, bits[1:] != bits[:-1])]
     return keys, np.array(_numbers(keys.view(np.float64)), object)
 
@@ -137,19 +154,23 @@ def write_table(columns: dict, out=None, fmt: str = "csv") -> None:
     """Write equal-length named columns as "csv" or "json" to ``out`` (stdout if None).
 
     A large table is encoded by up to one process per CPU this process may
-    use; the bytes are the same for any number. A complex column, or a float
-    column wider than float64, raises ``ValueError`` and nothing is written.
+    use; the bytes are the same for any number. A column is an array or a
+    ``Rows``. A complex column, or a float column wider than float64, raises
+    ``ValueError`` and nothing is written.
     """
-    cols = {name: np.asarray(col) for name, col in columns.items()}
+    cols = {name: col if isinstance(col, Rows) else np.asarray(col)
+            for name, col in columns.items()}
     if any(c.ndim != 1 for c in cols.values()) or len({c.size for c in cols.values()}) > 1:
         raise ValueError("table columns must be 1-d and of equal length")
     for name, c in cols.items():
         # read_table parses neither "(1+2j)" nor more digits than a float64's
         if c.dtype.kind == "c" or (c.dtype.kind == "f" and c.dtype.itemsize > 8):
             raise ValueError(f"column {name!r} is {c.dtype}, which read_table cannot read back")
-    if fmt == "json":
+    if fmt == "json":  # chunk by chunk, so that a Rows column is never held whole
         for name, c in cols.items():
-            if c.dtype.kind == "f" and not np.isfinite(c).all():
+            if c.dtype.kind == "f" and not all(
+                    np.isfinite(c[start:start + CHUNK_ROWS]).all()
+                    for start in range(0, c.size, CHUNK_ROWS)):
                 raise ArithmeticError(f"non-finite result, not written as JSON "
                                       f"(column {name!r} has a non-finite value)")
     # json writes a finite float with float.__repr__ and an int with

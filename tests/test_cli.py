@@ -473,6 +473,15 @@ def test_out_of_range_nc_is_a_usage_error(capsys, command, nc, text):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("nc", ["nan", "-1", "1e300"])
+def test_out_of_range_nc_opens_no_out_file(capsys, tmp_path, nc):
+    """omit-map computes its table as it writes it, but checks n_c first."""
+    path = tmp_path / "map.csv"
+    code, out, err = run(capsys, "omit-map", "--nc", nc, "--out", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv,text", [
     (["omit", "--nc", "1", "--span-hz", "1e308"], "span-hz gives a grid beyond"),
     (["omit", "--nc", "1", "--span-hz", "inf"], "span-hz must be finite"),
@@ -930,6 +939,20 @@ class TestFitCommand:
         path.write_text("n_c,n_m\n" + "".join(f"100,{1 + k / 100}\n" for k in range(6)))
         code, out, err = run(capsys, "fit", "heating", "--in", str(path))
         assert (code, out, err) == (2, "", "error: heating fit needs two distinct n_c\n")
+
+    @pytest.mark.parametrize("rows,n_th0,text", [
+        ("", [], "3 distinct positive n_c, the table has 2"),
+        ("0,8.0\n", [], "3 distinct positive n_c, the table has 2"),
+        ("0,8.0\n", ["--n-th0", "free"], "4 distinct n_c, the table has 3"),
+    ], ids=["fixed", "fixed-with-anchor", "free"])
+    def test_heating_fit_with_too_few_distinct_n_c_names_the_count(self, capsys, tmp_path,
+                                                                   rows, n_th0, text):
+        """Fewer distinct n_c than coefficients (n_th0's may be at n_c = 0) would
+        fit one from no data, reported converged at stderr 0."""
+        path = tmp_path / "two_powers.csv"
+        path.write_text("n_c,n_m\n100,1.0\n100,1.1\n200,1.05\n200,1.02\n" + rows)
+        code, out, err = run(capsys, "fit", "heating", "--in", str(path), *n_th0)
+        assert (code, out, err) == (2, "", f"error: heating fit needs {text}\n")
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "fit", "lorentzian", "--in", "/nonexistent.csv")

@@ -130,6 +130,34 @@ def test_large_tables_written_on_one_cpu_match_their_digests(capsys, tmp_path, m
     assert capsys.readouterr() == ("", "")
 
 
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return {}
+    return __cpu_features__
+
+
+# numpy's AVX-512 kernels, which this process may use; AVX2 is left on
+AVX512 = [name for name in ("AVX512_ICL", "AVX512_SPR", "X86_V4") if _cpu_features().get(name)]
+
+
+@pytest.mark.skipif("X86_V4" not in AVX512, reason="numpy dispatches no AVX-512 kernel here")
+def test_large_map_tables_match_their_digests_without_avx512(tmp_path):
+    """The ``omit-map`` digests, whose tables are computed as they are written,
+    with numpy's kernels one dispatch level lower (AVX2), as on most CI hosts."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               NPY_DISABLE_CPU_FEATURES=" ".join(AVX512))
+    check = ("from numpy._core._multiarray_umath import __cpu_features__ as f; "
+             "assert not f['X86_V4']; from omx.cli import run; run()")
+    for name in ("omit_map_401.csv", "omit_map_41.json"):
+        path = tmp_path / name
+        proc = subprocess.run([sys.executable, "-c", check, *LARGE[name][0], "--out", str(path)],
+                              env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+
+
 @SPLITS
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_large_table_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, fmt):

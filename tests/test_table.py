@@ -251,6 +251,37 @@ class TestChunks:
             table.write_table(columns, tmp_path / "t", fmt)
             assert_same_text((tmp_path / "t").read_text(), want)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_row_range_column_writes_the_bytes_of_its_array(self, tmp_path, monkeypatch, fmt):
+        """Each float column as a ``Rows``: the same bytes, and no range asked
+        for is longer than a chunk or the grid-axis sample."""
+        columns = self.grid_table()
+        ranges = []
+
+        def rows(column):
+            def compute(start, stop):
+                ranges.append(stop - start)
+                return column[start:stop].copy()
+            return table.Rows(column.size, compute)
+
+        lazy = {name: rows(c) if c.dtype.kind == "f" else c for name, c in columns.items()}
+        want = json_bytes(columns) if fmt == "json" else naive_csv(columns)
+        for size in (1, 3, table.CHUNK_ROWS, 16384):
+            monkeypatch.setattr(table, "CHUNK_ROWS", size)
+            ranges.clear()
+            table.write_table(lazy, tmp_path / "t", fmt)
+            assert_same_text((tmp_path / "t").read_text(), want)
+            assert 0 < max(ranges) <= max(size, table._REPEAT_SAMPLE)
+
+    def test_non_finite_row_range_column_is_not_written_as_json(self, tmp_path):
+        values = np.arange(3.0 * table.CHUNK_ROWS)
+        values[-1] = np.nan
+        column = table.Rows(values.size, lambda start, stop: values[start:stop])
+        with pytest.raises(ArithmeticError, match="column 'x' has a non-finite value"):
+            table.write_table({"i": np.arange(values.size), "x": column},
+                              tmp_path / "t.json", "json")
+        assert not (tmp_path / "t.json").exists()
+
     def test_memory_does_not_grow_with_the_table(self, tmp_path, monkeypatch):
         """On one process, the peak of the Python allocations made while a
         table of three float columns is written is about one chunk's."""
