@@ -49,7 +49,7 @@ class FitResult:
     residual_norm: float
     converged: bool
     iterations: int
-    stderr: dict[str, float] = field(default_factory=dict)
+    stderr: dict[str, float | None] = field(default_factory=dict)
     message: str = ""
 
 
@@ -130,16 +130,14 @@ def gauss_newton(
     names: tuple[str, ...],
     bounds: tuple | None = None,
     max_iter: int = MAX_ITER,
-    step_tol: float = STEP_TOL,
-    cost_tol: float = COST_TOL,
 ) -> FitResult:
     """Gauss-Newton on unit-norm Jacobian columns with projection onto bounds.
 
     Each iteration factors the scaled Jacobian once, Js = QR (More 1978), and solves
     ``[R; sqrt(lam) I] dz = -[Q^T r; 0]`` for lam in ``DAMPING`` (0, then 1e-3 ... 1e12,
     Levenberg-Marquardt), taking the first step that does not raise the cost. Exactly-zero
-    columns are frozen (with a one-time warning); the covariance uses the same column
-    scaling. Convergence: relative step < ``step_tol`` or relative cost change < ``cost_tol``.
+    columns are frozen (warned once a step is taken); the covariance uses the same column
+    scaling. Convergence: relative step < ``STEP_TOL`` or relative cost change < ``COST_TOL``.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -159,11 +157,6 @@ def gauss_newton(
         if not active.any():
             message = "all parameters frozen (zero Jacobian)"
             break
-        if not active.all() and not warned_freeze:
-            frozen = [names[i] for i in range(n) if not active[i]]
-            # level 3 skips the np.errstate decorator's wrapper to reach the caller
-            warnings.warn(f"singular Jacobian: freezing parameter(s) {frozen}", stacklevel=3)
-            warned_freeze = True
         rcond = np.finfo(float).eps * max(r.size, R.shape[1])  # lstsq's own for Js, r.size rows
         for lam in DAMPING:
             A = np.vstack([R, math.sqrt(lam) * np.eye(R.shape[1])]) if lam else R
@@ -178,11 +171,16 @@ def gauss_newton(
         else:
             message = "no damped step reduced the cost"
             break
+        if not active.all() and not warned_freeze:
+            frozen = [names[i] for i in range(n) if not active[i]]
+            # level 3 skips the np.errstate decorator's wrapper to reach the caller
+            warnings.warn(f"singular Jacobian: freezing parameter(s) {frozen}", stacklevel=3)
+            warned_freeze = True
 
         step = np.linalg.norm(x_try - x) / max(np.linalg.norm(x), 1e-300)
         dcost = abs(cost - cost_try) / max(cost, 1e-300)
         x, r, cost = x_try, r_try, cost_try
-        if step < step_tol or dcost < cost_tol:
+        if step < STEP_TOL or dcost < COST_TOL:
             converged = True
             message = "converged"
             break
@@ -193,7 +191,7 @@ def gauss_newton(
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fit_result(names, x, cost, jacobian_fn, converged, iterations, message) -> FitResult:
     """The FitResult at ``x``; if converged, with the covariance of ``jacobian_fn(x)``
-    on the steps' unit-norm column scaling, zero on frozen columns."""
+    on the steps' unit-norm column scaling, zero on frozen columns (their stderr None)."""
     x = np.asarray(x, dtype=float)
     covariance, stderr = None, {}
     if converged:
@@ -204,7 +202,8 @@ def _fit_result(names, x, cost, jacobian_fn, converged, iterations, message) -> 
         if R.shape[1]:  # Js^T Js = R^T R
             cov_a = s2 * np.linalg.pinv(R.T @ R) / np.outer(col[active], col[active])
             covariance[np.ix_(active, active)] = 0.5 * (cov_a + cov_a.T)
-        stderr = {name: math.sqrt(max(covariance[i, i], 0.0)) for i, name in enumerate(names)}
+        stderr = {name: math.sqrt(max(covariance[i, i], 0.0)) if active[i] else None
+                  for i, name in enumerate(names)}
     return FitResult(dict(zip(names, x.tolist())), names, covariance, math.sqrt(cost),
                      converged, iterations, stderr, message)
 
@@ -394,6 +393,22 @@ def fit_g0_from_linewidths(
     )
 
 
+def _nnls(A: np.ndarray, t: np.ndarray):
+    """(cost, c) minimising |A c - t|^2 over c >= 0: the best fit on a subset of A's (few)
+    columns whose coefficients are all >= 0, one lstsq per subset (Lawson & Hanson, ch. 23)."""
+    best = (float(t @ t), np.zeros(A.shape[1]))
+    for subset in range(2 ** A.shape[1] - 1, 0, -1):  # all columns first
+        on = [j for j in range(A.shape[1]) if subset >> j & 1]
+        c = np.zeros(A.shape[1])
+        c[on] = np.linalg.lstsq(A[:, on], t, rcond=None)[0]
+        r = A @ c - t
+        if (c >= 0).all() and r @ r < best[0]:
+            best = (float(r @ r), c)
+            if len(on) == A.shape[1]:  # the unconstrained minimum is feasible
+                break
+    return best
+
+
 def fit_heating_params(
     n_c,
     n_m,
@@ -402,66 +417,50 @@ def fit_heating_params(
 ) -> FitResult:
     """Fit the bath heating coefficients to occupancy-vs-photon-number data.
 
-    ``n_th0`` fixes the base occupancy; pass None to float it as a fourth
-    parameter. Coefficients are bounded below by zero.
+    ``n_th0`` fixes the base occupancy (None floats it as a fourth parameter); all are >= 0.
+    Gauss-Newton starts at the best beta_sat of a log grid over 1/n_c, each with the others'
+    nonnegative linear fit on ~1,000 strided rows (variable projection, Golub & Pereyra 1973);
+    data that overflow that seed (such as n_c = 1e-320) raise FloatingPointError.
     """
     x = np.asarray(n_c, dtype=float)
     y = np.asarray(n_m, dtype=float)
     free_n0 = n_th0 is None
-    if not free_n0:
-        _check("n_th0", n_th0, ge=0)
+    n00 = 0.0 if free_n0 else float(_check("n_th0", n_th0, ge=0))
     if x.size < (5 if free_n0 else 4):
         raise ValueError("not enough points for the number of free coefficients")
-
-    damp = 1.0 + cooperativity(device, x)
-    bath = y * damp  # observed bath occupancy
-    order = np.argsort(x)
-    xs, bs = x[order], bath[order]
-    first = np.searchsorted(xs, 0.0, side="right")  # the smallest positive n_c
-    if first == xs.size:
+    damp = 1.0 + cooperativity(device, x)  # which checks that each n_c is finite and >= 0
+    if x.max() <= 0:
         raise ValueError("heating fit needs a positive n_c")
-    # seeding the free baseline at the lowest bath point would zero the
-    # saturable term's seed; keep a little headroom for it instead
-    n00 = 0.95 * float(bs[0]) if free_n0 else float(n_th0)
-    excess = bs - n00
-    # slope of the linear tail (through the two largest distinct n_c, so a
-    # repeated last measurement divides by no zero) and saturated plateau
-    # seed the coefficients
-    below = np.searchsorted(xs, xs[-1]) - 1
-    if below < 0:
+    if x.min() == x.max():
         raise ValueError("heating fit needs two distinct n_c")
     # fewer distinct n_c than coefficients would fit one from no data, at stderr 0
-    distinct = 1 + np.count_nonzero(np.diff(xs[0 if free_n0 else first:]))
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(x if free_n0 else x[x > 0])))
     if distinct < (4 if free_n0 else 3):
         raise ValueError(f"heating fit needs {'4 distinct' if free_n0 else '3 distinct positive'}"
                          f" n_c, the table has {distinct}")
-    a_lin0 = max((excess[-1] - excess[below]) / (xs[-1] - xs[below]), 0.0)
-    plateau = max(excess[-1] - a_lin0 * xs[-1], 1e-6)
-    a_sat0 = max(excess[first] / xs[first] - a_lin0, 1e-6)
-    b_sat0 = max(a_sat0 / plateau, 1e-6)
-    del bath, order, xs, bs, excess  # not held through the fit
 
-    names: tuple[str, ...] = ("alpha_sat", "beta_sat", "alpha_lin")
-    p0 = [a_sat0, b_sat0, a_lin0]
-    if free_n0:
-        names, p0 = ("n_th0", *names), [n00, *p0]
+    def linear(b_s, x, damp):  # the columns that (n_th0), alpha_sat and alpha_lin multiply
+        return ([1.0 / damp] if free_n0 else []) + [x / (1.0 + b_s * x) / damp, x / damp]
+
+    rows = slice(None, None, -(-x.size // 1000))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # as _lorentzian_init
+        t = y[rows] - n00 / damp[rows]
+        seeds = [(*_nnls(np.column_stack(linear(b, x[rows], damp[rows])), t), b)
+                 for b in np.geomspace(1.0 / x.max(), 1.0 / x[x > 0].min(), 17)]
+    _, c, b_sat0 = min(seeds, key=lambda seed: seed[0])
+    names = ("n_th0",) * free_n0 + ("alpha_sat", "beta_sat", "alpha_lin")
 
     def residual(p):
         n0, a_s, b_s, a_l = p if free_n0 else (n00, *p)
         return (n0 + a_s * x / (1.0 + b_s * x) + a_l * x) / damp - y
 
-    def jacobian(p):
-        n0, a_s, b_s, a_l = p if free_n0 else (n00, *p)
-        sat = x / (1.0 + b_s * x)
-        cols = [sat / damp, -a_s * sat**2 / damp, x / damp]
-        if free_n0:
-            cols.insert(0, 1.0 / damp)
-        return np.column_stack(cols)
+    def jacobian(p):  # beta_sat's column, -alpha_sat*sat^2/damp, goes before alpha_lin's
+        *cols, lin = linear(p[-2], x, damp)
+        return np.column_stack([*cols, -p[-3] * cols[-1] ** 2 * damp, lin])
 
-    result = gauss_newton(residual, jacobian, p0, names,
-                          bounds=(np.zeros(len(p0)), np.full(len(p0), np.inf)))
-    if not free_n0:
-        result.params["n_th0"] = n00
+    result = gauss_newton(residual, jacobian, [*c[:-1], b_sat0, c[-1]], names,
+                          bounds=(np.zeros(len(names)), np.full(len(names), np.inf)))
+    result.params.setdefault("n_th0", n00)  # a fixed n_th0 is reported too
     return result
 
 

@@ -635,18 +635,15 @@ def test_interrupt_exits_130_without_a_traceback(capsys, monkeypatch):
 @pytest.mark.parametrize("argv,warning", [
     (["pulse-sim", "--pulses", "10", "--peak-power", "1e-3"],
      "scattering probability 6.618 > 0.2; linearized per-pulse picture is marginal"),
-    (["fit", "heating", "--in", "{noisy}", "--n-th0", "free"],
+    (["fit", "heating", "--in", "{table}"],
      "singular Jacobian: freezing parameter(s) ['beta_sat']"),
 ])
 def test_regime_warning_is_one_line_in_a_fresh_process(capsys, tmp_path, argv, warning):
-    # 1%-noise cooling data on which alpha_sat touches its zero bound on the way
-    grid = np.geomspace(0.01, 1e4, 200)
-    clean = core.heating_model_occupancy(core.DEVICE_PRESETS["A"], core.DEFAULT_HEATING, grid)
-    noisy = clean * (1.0 + 0.01 * np.random.default_rng(0).standard_normal(grid.size))
-    path = tmp_path / "noisy.csv"
-    rows = "".join(f"{x!r},{y!r}\n" for x, y in zip(grid.tolist(), noisy.tolist()))
-    path.write_text("n_c,n_m\n" + rows)
-    argv = [a.replace("{noisy}", str(path)) for a in argv]
+    # every n_m below the default n_th0 7.95: alpha_sat's best value is 0, where the data
+    # do not determine beta_sat
+    path = tmp_path / "cooling.csv"
+    path.write_text("n_c,n_m\n0,8\n100,1.0\n100,1.1\n200,1.05\n300,1.02\n")
+    argv = [a.replace("{table}", str(path)) for a in argv]
     proc = fresh_omx(*argv)
     assert (proc.returncode, proc.stderr) == (0, f"warning: {warning}\n")
     with pytest.warns(UserWarning) as record:
@@ -897,7 +894,7 @@ class TestFitCommand:
         for name, truth in (("alpha_sat", 0.324), ("beta_sat", 0.019), ("alpha_lin", 0.003)):
             assert params[name]["value"] == pytest.approx(truth, rel=1e-6)
 
-    @pytest.mark.filterwarnings("ignore:singular Jacobian")  # beta_sat, with or without 0
+    @pytest.mark.filterwarnings("error:singular Jacobian")
     def test_heating_fit_of_a_curve_with_its_anchor_and_a_free_baseline(self, capsys, tmp_path,
                                                                        anchored_curve):
         """Gives the values of the same fit without the anchor row."""
@@ -911,6 +908,39 @@ class TestFitCommand:
             fits.append({k: p["value"] for k, p in json.loads(out)["params"].items()})
         assert fits[0]["n_th0"] == pytest.approx(7.95, rel=1e-6)
         assert fits[0] == pytest.approx(fits[1], rel=1e-6)
+
+    @pytest.mark.parametrize("n_th0", [[], ["--n-th0", "free"]], ids=["fixed", "free"])
+    @pytest.mark.parametrize("points,anchor", [(30, False), (30, True), (100_000, False)],
+                             ids=["30", "30-with-anchor", "100000"])
+    def test_heating_fit_of_a_noiseless_curve_is_exact_and_silent(self, capsys, tmp_path,
+                                                                  points, anchor, n_th0):
+        """No coefficient reaches its zero bound on the way, so none is frozen: nothing on
+        stderr in a fresh process, and DEFAULT_HEATING to 1e-9."""
+        code, out, _ = run(capsys, "cool-curve", "--points", str(points))
+        assert code == 0
+        header, rows = parse_csv(out)
+        n_c, n_m = header.index("n_c"), header.index("n_m")
+        path = tmp_path / "curve.csv"
+        path.write_text("n_c,n_m\n" + "0,7.95\n" * anchor
+                        + "".join(f"{row[n_c]},{row[n_m]}\n" for row in rows))
+        proc = fresh_omx("fit", "heating", "--in", str(path), *n_th0)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        params = json.loads(proc.stdout)["params"]
+        for name in ("n_th0", "alpha_sat", "beta_sat", "alpha_lin"):
+            truth = getattr(core.DEFAULT_HEATING, name)
+            assert params[name]["value"] == pytest.approx(truth, rel=1e-9), name
+
+    def test_heating_fit_gives_an_undetermined_coefficient_no_stderr(self, capsys, tmp_path):
+        """Every n_m below the default n_th0: alpha_sat fits to 0, where beta_sat has no
+        effect on the model, so its stderr is null, not 0."""
+        path = tmp_path / "cooling.csv"
+        path.write_text("n_c,n_m\n0,8\n100,1.0\n100,1.1\n200,1.05\n300,1.02\n")
+        with pytest.warns(UserWarning, match=r"freezing parameter\(s\) \['beta_sat'\]"):
+            code, out, _ = run(capsys, "fit", "heating", "--in", str(path))
+        assert code == 0
+        params = json.loads(out, parse_constant=lambda token: pytest.fail(token))["params"]
+        assert params["beta_sat"]["stderr"] is None
+        assert params["alpha_sat"]["stderr"] > 0 and params["alpha_lin"]["stderr"] > 0
 
     def test_heating_fit_of_a_curve_with_its_last_row_repeated(self, capsys, tmp_path):
         """The two largest n_c are equal, as after a repeated last measurement:
