@@ -191,12 +191,26 @@ def _cmd_cool_curve(args) -> tuple:
     if not 0 < args.nc_min < args.nc_max:
         raise ValueError("need 0 < nc-min < nc-max")
     omx.core._check("points", args.points, within=(2, _MAX_ROWS))
-    grid = np.geomspace(args.nc_min, args.nc_max, args.points)
-    curve = omx.core.cooling_curve(device, heating, grid)
-    t_eff = omx.core.temperature_from_occupancy(device.mechanical.omega_m, curve.n_m)
-    return {"n_c": curve.n_c, "C": curve.cooperativity,
-            "gamma_eff_hz": angular_to_hz(curve.gamma_eff),
-            "n_m": curve.n_m, "t_eff_k": t_eff}, None
+    # the grid is whole (a geomspace per chunk would change its bits) and checked
+    # here, before --out is opened; each other column computes only what it needs
+    # of a row range, and the t_eff_k of a CSV chunk reads the n_m just computed
+    grid = omx.core._cooling_grid(device, heating,
+                                  np.geomspace(args.nc_min, args.nc_max, args.points))
+    omega_m = device.mechanical.omega_m
+
+    def rows(fn) -> omx.table.Rows:
+        return omx.table.Rows(grid.size, fn)
+
+    n_m = rows(lambda a, b: omx.core.heating_model_occupancy(device, heating, grid[a:b]))
+    for start in range(0, grid.size, omx.table.CHUNK_ROWS):  # t_eff_k's own check
+        omx.core._check("occupancy", n_m[start:start + omx.table.CHUNK_ROWS], positive=True)
+    return {"n_c": grid,
+            "C": rows(lambda a, b: omx.core.cooperativity(device, grid[a:b])),
+            "gamma_eff_hz": rows(lambda a, b: angular_to_hz(
+                omx.core.backaction(device, grid[a:b], -omega_m).gamma_eff)),
+            "n_m": n_m,
+            "t_eff_k": rows(lambda a, b: omx.core.temperature_from_occupancy(
+                omega_m, n_m[a:b]))}, None
 
 
 def _grid_hz(flag: str, lo: float, hi: float, points: int) -> np.ndarray:

@@ -235,6 +235,15 @@ def cooling_curve(device: Device, heating: HeatingParams, n_c_grid) -> CoolingTa
     The grid must be strictly positive and sorted ascending. A grid whose
     top makes g0^2 n_c, or a term it scales, overflow raises ``ValueError``.
     """
+    grid = _cooling_grid(device, heating, n_c_grid)
+    ba = backaction(device, grid, -device.mechanical.omega_m)
+    return CoolingTable(n_c=grid, cooperativity=ba.cooperativity, gamma_eff=ba.gamma_eff,
+                        n_m=heating_model_occupancy(device, heating, grid))
+
+
+def _cooling_grid(device: Device, heating: HeatingParams, n_c_grid) -> np.ndarray:
+    """``n_c_grid`` as a float array, with :func:`cooling_curve`'s checks. Each term of
+    the curve grows with n_c, so it stays in the float range if it does at the top."""
     grid = np.asarray(n_c_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("n_c grid must be nonempty")
@@ -245,12 +254,11 @@ def cooling_curve(device: Device, heating: HeatingParams, n_c_grid) -> CoolingTa
     _finite(device.g0**2 * top, f"n_c = {top!r} overflows the coupling g0^2 n_c")
     try:  # numpy's overflow, or libm's in the scalar pow of g^2
         with np.errstate(over="raise"):
-            ba = backaction(device, grid, -device.mechanical.omega_m)
-            occ = heating_model_occupancy(device, heating, grid)
+            backaction(device, grid[-1:], -device.mechanical.omega_m)
+            heating_model_occupancy(device, heating, grid[-1:])
     except (FloatingPointError, OverflowError) as exc:
         raise ValueError(f"n_c = {top!r} overflows the cooling curve ({exc.args[-1]})") from None
-    return CoolingTable(n_c=grid, cooperativity=ba.cooperativity, gamma_eff=ba.gamma_eff,
-                        n_m=occ)
+    return grid
 
 
 def save_device(device: Device, path: str | Path) -> None:

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import table
 from .constants import angular_to_hz
-from .core import DEFAULT_HEATING, Device, _check, cooperativity
+from .core import DEFAULT_HEATING, Device, _check, _finite, cooperativity
 
 __all__ = [
     "FitResult",
@@ -110,16 +111,34 @@ def _fano_jac(x, p):
 DAMPING = (0.0, *(10.0**k for k in range(-3, 13)))
 
 
-def _factor(J: np.ndarray, r: np.ndarray):
-    """Column norms of J, its nonzero columns, and R and Q^T r for Js = QR, Js those columns
-    at unit norm: from the R of [J r], built 4,096 rows at a time, so J is never copied whole."""
-    col = np.sqrt(np.einsum("ij,ij->j", J, J))
+def _factor(J, r: np.ndarray, n: int):
+    """Column norms of J (n columns), its nonzero columns, and R and Q^T r for Js = QR, Js
+    those columns at unit norm. J is an array, or any object whose row slice J[a:b] is that
+    block of J (a ``table.Rows``), so that it need not exist whole. One pass over its blocks
+    of 4,096 rows sums the squares of the columns and updates the R of [J r] (row-updating
+    QR, Golub & Van Loan); only an exactly-zero column takes a second pass, without it."""
+    squares, R = _block_qr(J, r, np.ones(n, bool))
+    col = np.sqrt(squares[:-1])
     active = col > 0
-    R = np.zeros((np.count_nonzero(active) + 1,) * 2)  # zero rows change no R^T R
-    for k in range(0, len(J), 4096):
-        block = np.column_stack([J[k:k + 4096, active], r[k:k + 4096]])
-        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    if not active.all():
+        R = _block_qr(J, r, active)[1]
     return col, active, R[:-1, :-1] / col[active], R[:-1, -1]
+
+
+def _block_qr(J, r: np.ndarray, active: np.ndarray):
+    """(column sums of squares, R) of [J[:, active] r], 4,096 rows at a time. Each sum
+    goes on in row order from the last block's, as einsum adds the rows of a C-ordered J."""
+    R = np.zeros((np.count_nonzero(active) + 1,) * 2)  # zero rows change no R^T R
+    sums = np.zeros(R.shape[1])
+    cols = slice(None) if active.all() else active  # a mask would make a Fortran-ordered copy
+    for k in range(0, r.size, 4096):
+        block = np.column_stack([np.asarray(J[k:k + 4096], dtype=float)[:, cols],
+                                 r[k:k + 4096]])
+        squares = block * block
+        squares[0] += sums
+        sums = squares.sum(axis=0)
+        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    return sums, R
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -133,11 +152,13 @@ def gauss_newton(
 ) -> FitResult:
     """Gauss-Newton on unit-norm Jacobian columns with projection onto bounds.
 
-    Each iteration factors the scaled Jacobian once, Js = QR (More 1978), and solves
-    ``[R; sqrt(lam) I] dz = -[Q^T r; 0]`` for lam in ``DAMPING`` (0, then 1e-3 ... 1e12,
-    Levenberg-Marquardt), taking the first step that does not raise the cost. Exactly-zero
-    columns are frozen (warned once a step is taken); the covariance uses the same column
-    scaling. Convergence: relative step < ``STEP_TOL`` or relative cost change < ``COST_TOL``.
+    ``jacobian_fn`` returns J as an array, or as an object whose row slices are J's rows
+    (``_factor``). Each iteration factors the scaled Jacobian once, Js = QR (More 1978),
+    and solves ``[R; sqrt(lam) I] dz = -[Q^T r; 0]`` for lam in ``DAMPING`` (0, then 1e-3
+    ... 1e12, Levenberg-Marquardt), taking the first step that does not raise the cost.
+    Exactly-zero columns are frozen (warned once a step is taken); the covariance uses the
+    same column scaling. Convergence: relative step < ``STEP_TOL`` or relative cost change
+    < ``COST_TOL``.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -153,7 +174,7 @@ def gauss_newton(
     warned_freeze = False
 
     for iterations in range(1, max_iter + 1):
-        col, active, R, qtr = _factor(np.asarray(jacobian_fn(x), dtype=float), r)
+        col, active, R, qtr = _factor(jacobian_fn(x), r, n)
         if not active.any():
             message = "all parameters frozen (zero Jacobian)"
             break
@@ -195,8 +216,8 @@ def _fit_result(names, x, cost, jacobian_fn, converged, iterations, message) -> 
     x = np.asarray(x, dtype=float)
     covariance, stderr = None, {}
     if converged:
-        J = np.asarray(jacobian_fn(x), dtype=float)
-        col, active, R, _ = _factor(J, np.zeros(len(J)))
+        J = jacobian_fn(x)
+        col, active, R, _ = _factor(J, np.broadcast_to(0.0, len(J)), x.size)
         s2 = cost / (len(J) - R.shape[1]) if len(J) > R.shape[1] else 0.0
         covariance = np.zeros((x.size, x.size))
         if R.shape[1]:  # Js^T Js = R^T R
@@ -420,7 +441,9 @@ def fit_heating_params(
     ``n_th0`` fixes the base occupancy (None floats it as a fourth parameter); all are >= 0.
     Gauss-Newton starts at the best beta_sat of a log grid over 1/n_c, each with the others'
     nonnegative linear fit on ~1,000 strided rows (variable projection, Golub & Pereyra 1973);
-    data that overflow that seed (such as n_c = 1e-320) raise FloatingPointError.
+    data that overflow that seed (such as n_c = 1e-320) raise FloatingPointError, and an n_c
+    whose cooperativity overflows ValueError. No n x k Jacobian is held: it is made and
+    factored 4,096 rows at a time.
     """
     x = np.asarray(n_c, dtype=float)
     y = np.asarray(n_m, dtype=float)
@@ -428,8 +451,10 @@ def fit_heating_params(
     n00 = 0.0 if free_n0 else float(_check("n_th0", n_th0, ge=0))
     if x.size < (5 if free_n0 else 4):
         raise ValueError("not enough points for the number of free coefficients")
-    damp = 1.0 + cooperativity(device, x)  # which checks that each n_c is finite and >= 0
-    if x.max() <= 0:
+    top = float(_check("n_c", x, ge=0).max())  # cooperativity's own check, run first
+    _finite(cooperativity(device, top), f"n_c = {top!r} overflows the cooperativity")
+    damp = 1.0 + cooperativity(device, x)
+    if top <= 0:
         raise ValueError("heating fit needs a positive n_c")
     if x.min() == x.max():
         raise ValueError("heating fit needs two distinct n_c")
@@ -454,9 +479,12 @@ def fit_heating_params(
         n0, a_s, b_s, a_l = p if free_n0 else (n00, *p)
         return (n0 + a_s * x / (1.0 + b_s * x) + a_l * x) / damp - y
 
-    def jacobian(p):  # beta_sat's column, -alpha_sat*sat^2/damp, goes before alpha_lin's
-        *cols, lin = linear(p[-2], x, damp)
-        return np.column_stack([*cols, -p[-3] * cols[-1] ** 2 * damp, lin])
+    def jacobian(p):
+        def rows(start: int, stop: int) -> np.ndarray:
+            # beta_sat's column, -alpha_sat*sat^2/damp, goes before alpha_lin's
+            *cols, lin = linear(p[-2], x[start:stop], damp[start:stop])
+            return np.column_stack([*cols, -p[-3] * cols[-1] ** 2 * damp[start:stop], lin])
+        return table.Rows(x.size, rows)
 
     result = gauss_newton(residual, jacobian, [*c[:-1], b_sat0, c[-1]], names,
                           bounds=(np.zeros(len(names)), np.full(len(names), np.inf)))

@@ -423,7 +423,16 @@ def simulate_clicks(device: Device, train: PulseTrain, chain: DetectionChain,
             blocks = list(pool.map(run, range(n_blocks)))
     else:
         blocks = [run(b) for b in range(n_blocks)]
-    return ClickStream(*(np.concatenate(cols) for cols in zip(*blocks)))
+    # each block is copied into the stream's columns and dropped
+    columns = [np.empty(sum(block[0].size for block in blocks), dtype)
+               for dtype in (np.int64, np.float64, np.int8)]
+    start = 0
+    for b in range(n_blocks):
+        block, blocks[b] = blocks[b], None
+        for column, values in zip(columns, block):
+            column[start:start + values.size] = values
+        start += block[0].size
+    return ClickStream(*columns)
 
 
 def _as_count(counts, n_pulses: int) -> int:
@@ -521,9 +530,13 @@ def combined_rate(hist: Histogram) -> np.ndarray:
 
 
 def click_columns(clicks: ClickStream) -> dict:
-    """Click stream table: pulse_index, t_ns, label."""
-    return {"pulse_index": clicks.pulse_index, "t_ns": clicks.t * 1e9,
-            "label": np.array(LABELS)[clicks.label]}
+    """Click stream table: pulse_index, t_ns, label; t_ns and label are computed
+    from the stream for each row range (``table.Rows``), not held whole."""
+    labels = np.array(LABELS)
+    return {"pulse_index": clicks.pulse_index,
+            "t_ns": table.Rows(len(clicks), lambda a, b: clicks.t[a:b] * 1e9),
+            "label": table.Rows(len(clicks), lambda a, b: labels[clicks.label[a:b]],
+                                labels.dtype)}
 
 
 def write_clicks_csv(path, clicks: ClickStream) -> None:

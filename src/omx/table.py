@@ -10,10 +10,10 @@ is read back by numpy's C parser in one call; ``csv`` scans a file again only
 to name the line of a fault. JSON is one indented object mapping each name to
 its column as a list, written from the same cells (a string is JSON-quoted);
 its bytes are those of ``json.dumps(..., indent=2)``. A column is an array, or
-a float column computed for each row range (``Rows``), which is never held
-whole. A large table is encoded on up to one process per CPU this process may
-use, and its bytes do not depend on how many. Each file layout lives next to
-its type (``pulsed.click_columns``, ``spectra.trace_columns``, ...).
+a column computed for each row range (``Rows``), which is never held whole. A
+large table is encoded on up to one process per CPU this process may use, and
+its bytes do not depend on how many. Each file layout lives next to its type
+(``pulsed.click_columns``, ``spectra.trace_columns``, ...).
 """
 
 from __future__ import annotations
@@ -57,18 +57,28 @@ _CELLS_PER_PROCESS = 250_000
 
 
 class Rows:
-    """A float64 column of ``size`` rows that ``fn(start, stop)`` computes for
-    each row range, sliced as an array is: the encoder computes one chunk at a
-    time, and a forked child its own chunks."""
+    """A column of ``size`` rows of ``dtype`` that ``fn(start, stop)`` computes
+    for each row range, sliced as an array is: the encoder computes one chunk
+    at a time, and a forked child its own chunks. The last block computed
+    serves any range within it (a chunk within the grid-axis sample, or one
+    that two columns read), and is only read. ``fitkit.gauss_newton`` takes
+    one whose ``fn`` gives row blocks of a Jacobian in the same way."""
 
-    dtype = np.dtype(np.float64)
     ndim = 1
 
-    def __init__(self, size: int, fn):
-        self.size, self.fn = size, fn
+    def __init__(self, size: int, fn, dtype=np.float64):
+        self.size, self.fn, self.dtype = size, fn, np.dtype(dtype)
+        self._last = (0, -1, None)  # (start, stop, block) of the last block computed
+
+    def __len__(self) -> int:
+        return self.size
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.fn(*rows.indices(self.size)[:2])
+        start, stop = rows.indices(self.size)[:2]
+        first, last, block = self._last
+        if not first <= start <= stop <= last:
+            first, last, block = self._last = start, stop, self.fn(start, stop)
+        return block[start - first:stop - first]
 
 
 def _repeats(values: np.ndarray) -> bool:
@@ -86,6 +96,8 @@ def _grid(values: np.ndarray):
     """(sorted bit patterns, cells) of the distinct values among the first
     ``_REPEAT_SAMPLE`` of a grid axis (``_repeats``); None for any other
     column."""
+    if values.dtype != np.float64:  # no sample is computed for it
+        return None
     sample = values[:_REPEAT_SAMPLE]  # computed once, for a Rows column
     if not _repeats(sample):
         return None

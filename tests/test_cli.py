@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import omx
-from omx import core, geometry, pulsed, spectra
+from omx import core, geometry, pulsed, spectra, table
 from omx.cli import main
 from omx.constants import angular_to_hz
 
@@ -123,6 +123,43 @@ class TestCoolCurveCommand:
             core.DEVICE_PRESETS["A"], core.DEFAULT_HEATING, n_c
         )
         assert float(rows[20][3]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, fmt):
+        """The columns are computed a chunk at a time (``table.Rows``), with the
+        bytes of the whole-array table at any chunk size; the rows outrun the
+        grid-axis sample and are a multiple of no chunk size tried."""
+        points = table._REPEAT_SAMPLE + 617
+        device, heating = core.DEVICE_PRESETS["A"], core.DEFAULT_HEATING
+        curve = core.cooling_curve(device, heating, np.geomspace(0.01, 1e4, points))
+        t_eff = core.temperature_from_occupancy(device.mechanical.omega_m, curve.n_m)
+        want = tmp_path / "whole"
+        table.write_table({"n_c": curve.n_c, "C": curve.cooperativity,
+                           "gamma_eff_hz": angular_to_hz(curve.gamma_eff), "n_m": curve.n_m,
+                           "t_eff_k": t_eff}, want, fmt)
+        for rows in (1000, table.CHUNK_ROWS, 16384):
+            monkeypatch.setattr(table, "CHUNK_ROWS", rows)
+            path = tmp_path / f"{rows}.{fmt}"
+            assert main(["cool-curve", "--points", str(points), "--format", fmt,
+                         "--out", str(path)]) == 0
+            assert path.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("argv,text", [
+        (["--nc-max", "1e290"], "n_c = 1e+290 overflows the cooling curve"),
+        (["--nc-min", "1", "--nc-max", "1.0000000000000002", "--points", "1000"],
+         "n_c grid must be strictly increasing"),
+        (["--heating", "{spec}"], "occupancy must be positive"),
+    ], ids=["overflow", "repeated-n_c", "zero-occupancy"])
+    def test_a_failing_curve_opens_no_out_file(self, capsys, tmp_path, argv, text):
+        """The grid and the occupancy are checked whole before --out is opened,
+        though the table is computed as it is written."""
+        spec = tmp_path / "cold.json"
+        spec.write_text('{"n_th0": 0}')  # no bath at all: n_m = 0, no temperature
+        path = tmp_path / "curve.csv"
+        code, out, err = run(capsys, "cool-curve", *[a.replace("{spec}", str(spec)) for a in argv],
+                             "--out", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"error: {text}")
+        assert not path.exists()
 
     def test_zero_heating_monotone(self, capsys):
         code, out, _ = run(capsys, "cool-curve", "--heating", "zero",
@@ -600,6 +637,17 @@ def test_overflowing_fit_prints_one_line_in_a_fresh_process(tmp_path):
     proc = fresh_omx("fit", "heating", "--in", str(path), "--n-th0", "1e308")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_th0", [[], ["--n-th0", "free"]], ids=["fixed", "free"])
+def test_heating_fit_of_an_overflowing_cooperativity_names_n_c(tmp_path, n_th0):
+    """C = 4 g0^2 n_c / (kappa gamma_0) beyond the float range is an input error:
+    exit 2 with one line, in place of numpy's warning and a frozen fit."""
+    path = tmp_path / "heating.csv"
+    path.write_text("n_c,n_m\n" + "".join(f"{k}e300,{8 - k / 10}\n" for k in range(1, 6)))
+    proc = fresh_omx("fit", "heating", "--in", str(path), *n_th0)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: n_c = 5e+300 overflows the cooperativity\n"
 
 
 @pytest.mark.parametrize("kind", ["lorentzian", "fano"])

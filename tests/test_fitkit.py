@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from omx import core, fitkit, spectra
+from omx import core, fitkit, spectra, table
 from omx.constants import TWO_PI, angular_to_hz
 
 
@@ -125,6 +125,44 @@ class TestGaussNewton:
                                   [0.0, 0.0, 0.5], ("a", "b", "c"))
         assert res.converged and res.params["a"] == pytest.approx(3.0, rel=1e-9)
         assert np.array_equal(J, want)
+
+    @pytest.mark.filterwarnings("ignore:singular Jacobian")
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_a_row_range_jacobian_gives_the_fit_of_its_array(self, frozen):
+        """A jacobian_fn may give J as a ``table.Rows`` of its row blocks: over
+        more rows than one block, the same FitResult as the array, bit for bit."""
+        x = np.linspace(0.0, 2.0, 3 * 4096 + 5)
+        y = 0.5 + 1.5 * np.exp(-1.2 * x) + 0.1 * np.exp(-2.4 * x)  # c starts at its value
+
+        def jacobian(p, start=0, stop=None):
+            e = np.exp(-p[2] * x[start:stop])
+            return np.column_stack([np.ones_like(e), e,
+                                    -x[start:stop] * (p[1] * e + 2.0 * p[3] * e * e),
+                                    np.zeros_like(e) if frozen else e * e])
+
+        def rows(p):
+            return table.Rows(x.size, lambda start, stop: jacobian(p, start, stop))
+
+        def residual(p):
+            return p[0] + p[1] * np.exp(-p[2] * x) + p[3] * np.exp(-2.0 * p[2] * x) - y
+
+        whole, blocks = (fitkit.gauss_newton(residual, jac, [0.0, 1.0, 1.0, 0.1],
+                                             ("a", "b", "k", "c"))
+                         for jac in (jacobian, rows))
+        assert whole.converged and whole.params["k"] == pytest.approx(1.2, rel=1e-9)
+        assert whole.stderr["c"] is None if frozen else whole.stderr["c"] is not None
+        assert (blocks.params, blocks.stderr, blocks.residual_norm, blocks.iterations,
+                blocks.message) == (whole.params, whole.stderr, whole.residual_norm,
+                                    whole.iterations, whole.message)
+        assert np.array_equal(blocks.covariance, whole.covariance)
+
+    def test_column_norms_of_row_blocks_are_those_of_the_whole_array(self):
+        """The norms that scale J's columns, summed block by block, carry the
+        bits of einsum's over the whole array: a fit keeps its bytes."""
+        J = np.random.default_rng(5).standard_normal((3 * 4096 + 5, 4)) * [1.0, 1e3, 1e-3, 7.0]
+        rows = table.Rows(len(J), lambda start, stop: J[start:stop])
+        col = fitkit._factor(rows, np.ones(len(J)), 4)[0]
+        assert np.array_equal(col, np.sqrt(np.einsum("ij,ij->j", J, J)))
 
     def test_iteration_cap_reports_non_convergence(self):
         x = np.linspace(0.1, 1.0, 20)
@@ -458,19 +496,20 @@ class TestHeatingParamsFit:
         assert res.params["alpha_lin"] == pytest.approx(0.003, rel=1e-9)
 
     def test_memory_of_a_fit_of_a_long_curve(self, device_a):
-        """J factored by row blocks, and no seeding array held through the fit:
-        the fit's own allocations peak below 12 columns of its input (9 with
-        python 3.11 and numpy 2.4)."""
+        """J computed and factored by row blocks, and no seeding array held
+        through the fit: the fit's own allocations peak below 6 columns of its
+        input, with n_th0 fixed or free (4 with python 3.11 and numpy 2.4)."""
         n_c = np.geomspace(0.01, 1e4, 100_000)
         n_m = core.heating_model_occupancy(device_a, core.DEFAULT_HEATING, n_c)
-        tracemalloc.start()
-        try:
-            res = fitkit.fit_heating_params(n_c, n_m, device_a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.params["alpha_sat"] == pytest.approx(0.324, rel=1e-9)
-        assert peak < 12 * n_c.nbytes
+        for n_th0 in (core.DEFAULT_HEATING.n_th0, None):
+            tracemalloc.start()
+            try:
+                res = fitkit.fit_heating_params(n_c, n_m, device_a, n_th0=n_th0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.params["alpha_sat"] == pytest.approx(0.324, rel=1e-9)
+            assert peak < 6 * n_c.nbytes, n_th0
 
     def test_too_few_points_rejected(self, device_a):
         with pytest.raises(ValueError):

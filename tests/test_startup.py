@@ -13,8 +13,8 @@ import pytest
 import scipy.constants
 
 import omx
-from omx import fitkit, spectra
-from omx.constants import HBAR, K_B
+from omx import core, fitkit, spectra
+from omx.constants import HBAR, K_B, angular_to_hz
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -92,6 +92,24 @@ def fano_trace(tmp_path):
 
 
 @pytest.fixture
+def tables(tmp_path):
+    """The paths of a 200-row heating table (n_c,n_m) and a linewidth table
+    (n_c,gamma_m_hz), by name."""
+    device = core.DEVICE_PRESETS["A"]
+    n_c = np.geomspace(0.01, 1e4, 200)
+    n_m = core.heating_model_occupancy(device, core.DEFAULT_HEATING, n_c)
+    gamma = angular_to_hz(device.mechanical.gamma_0 + 4.0 * device.g0**2 / device.optical.kappa
+                          * n_c[:20])
+    paths = {}
+    for name, header, columns in (("heating", "n_c,n_m", (n_c, n_m)),
+                                  ("g0", "n_c,gamma_m_hz", (n_c, gamma))):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(header + "\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(*(c.tolist() for c in columns))))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.fixture
 def clicks(tmp_path):
     """The paths of a blue and a red click file of 100 pulses, by label."""
     paths = {}
@@ -136,11 +154,23 @@ def test_import_omx_loads_no_submodule():
      COMPUTE + ["omx.pulsed"], False, True),
     (["estimate", "--blue", "{blue}", "--red", "{red}", "--pulses", "100"],
      COMPUTE + ["omx.pulsed"], False, False),
+    # what a numpy call loads while a command runs counts too: np.unique
+    # without index outputs, or np.median, would load numpy.ma
+    (["fit", "heating", "--in", "{heating}"], COMPUTE + ["omx.fitkit"], False, False),
+    (["fit", "heating", "--in", "{heating}", "--n-th0", "free"], COMPUTE + ["omx.fitkit"],
+     False, False),
+    (["fit", "g0", "--in", "{g0}", "--device", "A", "--branch", "red"],
+     COMPUTE + ["omx.fitkit"], False, False),
+    (["omit-map", "--nc", "100"], COMPUTE + ["omx.spectra"], False, True),
+    (["omit-map", "--nc", "100", "--format", "json"], COMPUTE + ["omx.spectra"], False, True),
+    (["cool-curve", "--points", "100000", "--format", "json"], COMPUTE + SPLIT, False, True),
 ], ids=["device", "cool-curve", "cool-curve-split", "omit", "pulse-sim", "pulse-sim-pooled",
-        "taper", "fit", "fit-fano", "histogram", "estimate"])
-def test_each_command_loads_only_what_it_runs(trace, fano_trace, clicks, argv, extra, futures,
-                                              orjson):
-    result = fresh([arg.format(trace=trace, fano=fano_trace, **clicks) for arg in argv])
+        "taper", "fit", "fit-fano", "histogram", "estimate", "fit-heating", "fit-heating-free",
+        "fit-g0", "omit-map", "omit-map-json", "cool-curve-json-split"])
+def test_each_command_loads_only_what_it_runs(trace, fano_trace, clicks, tables, argv, extra,
+                                              futures, orjson):
+    result = fresh([arg.format(trace=trace, fano=fano_trace, **clicks, **tables)
+                    for arg in argv])
     assert result["codes"] == [0]
     assert result["omx"] == sorted(CLI_MODULES + extra)
     assert result["futures"] is futures  # the thread pool only for a pooled run
