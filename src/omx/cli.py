@@ -202,8 +202,9 @@ def _cmd_cool_curve(args) -> tuple:
         return omx.table.Rows(grid.size, fn)
 
     n_m = rows(lambda a, b: omx.core.heating_model_occupancy(device, heating, grid[a:b]))
-    for start in range(0, grid.size, omx.table.CHUNK_ROWS):  # t_eff_k's own check
-        omx.core._check("occupancy", n_m[start:start + omx.table.CHUNK_ROWS], positive=True)
+    for start in range(0, grid.size, omx.table.CHUNK_ROWS):  # t_eff_k's own checks, on the
+        block = n_m[start:start + omx.table.CHUNK_ROWS]  # ends of each chunk (T grows with n_m)
+        omx.core.temperature_from_occupancy(omega_m, np.array([block.min(), block.max()]))
     return {"n_c": grid,
             "C": rows(lambda a, b: omx.core.cooperativity(device, grid[a:b])),
             "gamma_eff_hz": rows(lambda a, b: angular_to_hz(

@@ -142,9 +142,13 @@ def thermal_occupancy(frequency: float, temperature: float) -> float:
 
 
 def temperature_from_occupancy(frequency, occupancy):
-    """Exact inverse of :func:`thermal_occupancy` (kelvin)."""
+    """Exact inverse of :func:`thermal_occupancy` (kelvin). T grows with both arguments, so
+    an occupancy whose T at the top leaves the float range raises ``ValueError`` naming it."""
     frequency = _check("frequency", _values(frequency), positive=True)
     occupancy = _check("occupancy", _values(occupancy), positive=True)
+    top = float(np.max(occupancy))  # K_B*log1p(1/n) may underflow to 0: nan, no ZeroDivisionError
+    _finite(HBAR * float(np.max(frequency)) / (K_B * math.log1p(1.0 / top) or math.nan),
+            f"occupancy {top!r} has a temperature beyond the float range")
     return HBAR * frequency / (K_B * _libm(math.log1p, 1.0 / occupancy))
 
 

@@ -116,29 +116,23 @@ def _factor(J, r: np.ndarray, n: int):
     those columns at unit norm. J is an array, or any object whose row slice J[a:b] is that
     block of J (a ``table.Rows``), so that it need not exist whole. One pass over its blocks
     of 4,096 rows sums the squares of the columns and updates the R of [J r] (row-updating
-    QR, Golub & Van Loan); only an exactly-zero column takes a second pass, without it."""
-    squares, R = _block_qr(J, r, np.ones(n, bool))
-    col = np.sqrt(squares[:-1])
-    active = col > 0
-    if not active.all():
-        R = _block_qr(J, r, active)[1]
-    return col, active, R[:-1, :-1] / col[active], R[:-1, -1]
-
-
-def _block_qr(J, r: np.ndarray, active: np.ndarray):
-    """(column sums of squares, R) of [J[:, active] r], 4,096 rows at a time. Each sum
-    goes on in row order from the last block's, as einsum adds the rows of a C-ordered J."""
-    R = np.zeros((np.count_nonzero(active) + 1,) * 2)  # zero rows change no R^T R
-    sums = np.zeros(R.shape[1])
-    cols = slice(None) if active.all() else active  # a mask would make a Fortran-ordered copy
+    QR, Golub & Van Loan). Each sum goes on in row order from the last block's, as einsum
+    adds the rows of a C-ordered J. An exactly-zero (or nan) column is dropped from R, not J:
+    [J r] = QR gives [J_active r] = Q R[:, kept], so the QR of R[:, kept] is that R."""
+    R = np.zeros((n + 1,) * 2)  # zero rows change no R^T R
+    sums = np.zeros(n + 1)
     for k in range(0, r.size, 4096):
-        block = np.column_stack([np.asarray(J[k:k + 4096], dtype=float)[:, cols],
-                                 r[k:k + 4096]])
+        block = np.column_stack([np.asarray(J[k:k + 4096], dtype=float), r[k:k + 4096]])
         squares = block * block
         squares[0] += sums
         sums = squares.sum(axis=0)
+        block[:, :-1][:, np.isnan(sums[:-1])] = 0.0  # a nan column is frozen too: out of R
         R = np.linalg.qr(np.vstack([R, block]), mode="r")
-    return sums, R
+    col = np.sqrt(sums[:-1])
+    active = col > 0
+    if not active.all():
+        R = np.linalg.qr(R[:, np.append(active, True)], mode="r")
+    return col, active, R[:-1, :-1] / col[active], R[:-1, -1]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -282,6 +276,8 @@ def _as_trace_arrays(trace):
     y = np.asarray(trace.values)
     if np.iscomplexobj(y):
         raise ValueError("resonance fits expect a real-valued trace")
+    if x.size < 5:
+        raise ValueError("need at least 5 samples")
     return x, y.astype(float)
 
 
@@ -292,8 +288,6 @@ def fit_lorentzian(trace, initial: dict | None = None) -> FitResult:
     overrides them (keys: center, fwhm, amplitude, offset).
     """
     x, y = _as_trace_arrays(trace)
-    if x.size < 5:
-        raise ValueError("need at least 5 samples")
     c0, w0, a0, off0 = _lorentzian_init(x, y)
     guess = {"center": c0, "fwhm": w0, "amplitude": a0, "offset": off0}
     if initial:
@@ -333,8 +327,6 @@ def fit_fano(trace, initial: dict | None = None) -> FitResult:
     covariance (``_fano_public``). ``initial`` overrides the seed; its keys are ``fano``'s.
     """
     x, y = _as_trace_arrays(trace)
-    if x.size < 5:
-        raise ValueError("need at least 5 samples")
     c0, w0, _, _ = _lorentzian_init(x, y)
     guess = {"center": c0, "width": w0, **(initial or {})}
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Device, _check, _finite
+from .core import Device, _check, _finite, _libm, _values
 from . import table
 
 __all__ = [
@@ -185,27 +185,24 @@ def scattering_probability(device: Device, n_c: float, tau: float) -> float:
     return p_s
 
 
-def steady_state_prepulse_occupancy(kernel: HeatingKernel, rep_rate: float) -> float:
+def steady_state_prepulse_occupancy(kernel: HeatingKernel, rep_rate):
     """Steady-state occupancy reported for a pulse in a periodic train.
 
     Just before a pulse the occupancy has relaxed to
     n_pre = n_base + delta*x/(1-x) with x = exp(-1/(rep_rate*tau_th));
     the kick lands at pulse start, so the value seen by the pulse (and
-    returned here) is n_pre + delta = n_base + delta/(1-x).
+    returned here) is n_pre + delta = n_base + delta/(1-x). An array of
+    rates gives, element by element, the bits of the scalar call.
     """
-    _check("rep_rate", rep_rate, positive=True)
-    if kernel.delta == 0.0:
-        return kernel.n_base
-    if kernel.tau_th == 0.0:
-        return kernel.n_base + kernel.delta
-    one_minus_x = -math.expm1(-1.0 / (rep_rate * kernel.tau_th))
-    return kernel.n_base + kernel.delta / one_minus_x
+    def occupancy(rate: float) -> float:
+        if kernel.delta == 0.0:
+            return kernel.n_base
+        if kernel.tau_th == 0.0:
+            return kernel.n_base + kernel.delta
+        one_minus_x = -math.expm1(-1.0 / (rate * kernel.tau_th))
+        return kernel.n_base + kernel.delta / one_minus_x
 
-
-def _occupancy_model(rates: np.ndarray, delta: float, tau_th: float, n_base: float) -> np.ndarray:
-    tau_th = max(tau_th, 1e-300)
-    one_minus_x = -np.expm1(-1.0 / (rates * tau_th))
-    return n_base + delta / one_minus_x
+    return _libm(occupancy, _check("rep_rate", _values(rep_rate), positive=True))
 
 
 def fit_heating_kernel(points, n_base: float = 0.0) -> HeatingKernel:
@@ -258,11 +255,10 @@ def fit_heating_kernel(points, n_base: float = 0.0) -> HeatingKernel:
         return HeatingKernel(delta=d0, tau_th=t0, n_base=n_base)
 
     def residual(p):
-        return _occupancy_model(rates, p[0], p[1], n_base) - occ
+        return steady_state_prepulse_occupancy(HeatingKernel(*p, n_base), rates) - occ
 
-    def jacobian(p):
+    def jacobian(p):  # at a p within the bounds: tau_th >= 1e-15
         delta, tau_th = p
-        tau_th = max(tau_th, 1e-300)
         u = 1.0 / (rates * tau_th)
         x = np.exp(-u)
         one_minus_x = -np.expm1(-u)

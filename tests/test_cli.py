@@ -639,6 +639,20 @@ def test_overflowing_fit_prints_one_line_in_a_fresh_process(tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_a_curve_whose_temperature_overflows_names_the_occupancy(tmp_path, out):
+    """An n_m whose T = hbar w / (kB log1p(1/n_m)) is beyond the float range exits 2
+    with one line naming it, before --out is opened, in place of inf in t_eff_k."""
+    spec = tmp_path / "hot.json"
+    spec.write_text('{"n_th0": 1, "alpha_lin": 1e300}')
+    path = tmp_path / "curve.csv"
+    proc = fresh_omx("cool-curve", "--heating", str(spec), "--points", "3",
+                     *(["--out", str(path)] if out else []))
+    assert (proc.returncode, proc.stdout) == (2, "") and not path.exists()
+    assert re.fullmatch(r"error: occupancy \S+e\+30\d has a temperature beyond the float "
+                        r"range\n", proc.stderr), proc.stderr
+
+
 @pytest.mark.parametrize("n_th0", [[], ["--n-th0", "free"]], ids=["fixed", "free"])
 def test_heating_fit_of_an_overflowing_cooperativity_names_n_c(tmp_path, n_th0):
     """C = 4 g0^2 n_c / (kappa gamma_0) beyond the float range is an input error:

@@ -405,6 +405,21 @@ class TestArrayNative:
         with pytest.raises(ValueError, match="occupancy must be positive"):
             core.temperature_from_occupancy(1e10, np.array([0.5, 0.0]))
 
+    @pytest.mark.parametrize("occupancy", [1e301, np.array([0.5, 1e301, 2.0])],
+                             ids=["scalar", "array"])
+    def test_a_temperature_beyond_the_float_range_names_the_occupancy(self, occupancy):
+        """log1p(1/n) * kB underflows to 0 for n = 1e301: the scalar call divided by
+        zero and the array gave inf with a warning; both raise the same error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^occupancy 1e\+301 has a temperature "
+                                                 r"beyond the float range$"):
+                core.temperature_from_occupancy(1e10, occupancy)
+            # T grows with the frequency too: n = 1e290 is in range at 1e10 rad/s, not at 1e300
+            assert math.isfinite(core.temperature_from_occupancy(1e10, 1e290))
+            with pytest.raises(ValueError, match="occupancy 1e\\+290 has a temperature"):
+                core.temperature_from_occupancy(1e300, 1e290)
+
 
 class TestPresetsAndSerialization:
     def test_preset_parameters_in_hz(self, device_a, device_b):

@@ -128,9 +128,10 @@ class TestGaussNewton:
 
     @pytest.mark.filterwarnings("ignore:singular Jacobian")
     @pytest.mark.parametrize("frozen", [False, True])
-    def test_a_row_range_jacobian_gives_the_fit_of_its_array(self, frozen):
+    def test_a_row_range_jacobian_gives_the_fit_of_its_array(self, frozen, monkeypatch):
         """A jacobian_fn may give J as a ``table.Rows`` of its row blocks: over
-        more rows than one block, the same FitResult as the array, bit for bit."""
+        more rows than one block, the same FitResult as the array, bit for bit.
+        Each factorisation reads J once, frozen column or not."""
         x = np.linspace(0.0, 2.0, 3 * 4096 + 5)
         y = 0.5 + 1.5 * np.exp(-1.2 * x) + 0.1 * np.exp(-2.4 * x)  # c starts at its value
 
@@ -140,21 +141,51 @@ class TestGaussNewton:
                                     -x[start:stop] * (p[1] * e + 2.0 * p[3] * e * e),
                                     np.zeros_like(e) if frozen else e * e])
 
+        computed, factored = [], []  # the first row of each block computed; each _factor call
+
         def rows(p):
-            return table.Rows(x.size, lambda start, stop: jacobian(p, start, stop))
+            def block(start, stop):
+                computed.append(start)
+                return jacobian(p, start, stop)
+            return table.Rows(x.size, block)
 
         def residual(p):
             return p[0] + p[1] * np.exp(-p[2] * x) + p[3] * np.exp(-2.0 * p[2] * x) - y
 
-        whole, blocks = (fitkit.gauss_newton(residual, jac, [0.0, 1.0, 1.0, 0.1],
-                                             ("a", "b", "k", "c"))
-                         for jac in (jacobian, rows))
+        def factor(*args, _factor=fitkit._factor):
+            factored.append(args)
+            return _factor(*args)
+
+        whole = fitkit.gauss_newton(residual, jacobian, [0.0, 1.0, 1.0, 0.1],
+                                    ("a", "b", "k", "c"))
+        monkeypatch.setattr(fitkit, "_factor", factor)
+        blocks = fitkit.gauss_newton(residual, rows, [0.0, 1.0, 1.0, 0.1], ("a", "b", "k", "c"))
+        assert factored and computed == [0, 4096, 8192, 12288] * len(factored)
         assert whole.converged and whole.params["k"] == pytest.approx(1.2, rel=1e-9)
         assert whole.stderr["c"] is None if frozen else whole.stderr["c"] is not None
         assert (blocks.params, blocks.stderr, blocks.residual_norm, blocks.iterations,
                 blocks.message) == (whole.params, whole.stderr, whole.residual_norm,
                                     whole.iterations, whole.message)
         assert np.array_equal(blocks.covariance, whole.covariance)
+
+    def test_a_nan_column_freezes_as_a_zero_one_does(self):
+        """A column whose norm is nan is not > 0: it is frozen, and kept out of the R
+        of the others, so their fit is that of J without it."""
+        x = np.linspace(0.0, 1.0, 20)
+
+        def jac(p, bad):
+            J = np.column_stack([x, np.zeros_like(x), np.ones_like(x)])
+            J[3, 1] = bad
+            return J
+
+        fits = []
+        for bad in (0.0, math.nan):
+            with pytest.warns(UserWarning, match=r"freezing parameter\(s\) \['unused'\]"):
+                fits.append(fitkit.gauss_newton(lambda p: p[0] * x + p[2] - (2.0 * x + 1.0),
+                                                lambda p: jac(p, bad), [0.5, 1.5, 0.0],
+                                                ("a", "unused", "b")))
+        assert fits[1].converged and fits[1].params == fits[0].params
+        assert fits[1].stderr == fits[0].stderr and fits[1].stderr["unused"] is None
 
     def test_column_norms_of_row_blocks_are_those_of_the_whole_array(self):
         """The norms that scale J's columns, summed block by block, carry the

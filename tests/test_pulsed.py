@@ -157,6 +157,20 @@ class TestSteadyStateOccupancy:
     def test_invalid_rep_rate(self):
         with pytest.raises(ValueError):
             pulsed.steady_state_prepulse_occupancy(REF_KERNEL, 0.0)
+        with pytest.raises(ValueError, match="rep_rate must be positive"):
+            pulsed.steady_state_prepulse_occupancy(REF_KERNEL, np.array([1e6, 0.0]))
+
+    @pytest.mark.parametrize("kernel", [REF_KERNEL, flat_kernel(0.37),
+                                        pulsed.HeatingKernel(delta=0.2, tau_th=0.0, n_base=0.1)],
+                             ids=["reference", "delta-0", "tau_th-0"])
+    def test_array_rates_give_the_bits_of_scalar_calls(self, kernel):
+        """The kernel fit's residual evaluates the model on an array of rates: each
+        element carries the bits of the scalar call (libm's expm1, not numpy's)."""
+        rates = np.geomspace(1e3, 1e8, 2001)
+        got = pulsed.steady_state_prepulse_occupancy(kernel, rates)
+        want = np.array([pulsed.steady_state_prepulse_occupancy(kernel, r) for r in rates.tolist()])
+        assert got.shape == rates.shape and got.tobytes() == want.tobytes()
+        assert type(pulsed.steady_state_prepulse_occupancy(kernel, 1e6)) is float
 
 
 class TestHeatingKernelFit:
