@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -69,14 +70,19 @@ def lorentzian_area(amplitude: float, fwhm: float) -> float:
 
 
 def _lorentzian_jac(x, p):
-    center, fwhm, amplitude, offset = p
-    hw = fwhm / 2.0
-    dx = x - center
+    """d/d(center, width, kL, k0[, kD]) of kL*L + k0 + kD*D; the Lorentzian's J without kD."""
+    hw = p[1] / 2.0
+    dx = x - p[0]
     den = dx**2 + hw**2
-    J = np.empty((x.size, 4))
-    J[:, 0] = amplitude * hw**2 * 2.0 * dx / den**2
-    # d/d(hw) = 2*A*hw*dx^2/den^2, times d(hw)/d(fwhm) = 1/2
-    J[:, 1] = amplitude * hw * dx**2 / den**2
+    J = np.empty((x.size, len(p)))
+    J[:, 0] = 2.0 * p[2] * hw**2 * dx
+    # d/d(hw) = 2*kL*hw*dx^2/den^2, times d(hw)/d(width) = 1/2
+    J[:, 1] = p[2] * hw * dx**2
+    if len(p) == 5:  # the dispersive term kD*D
+        J[:, 0] -= p[4] * hw * (hw**2 - dx**2)
+        J[:, 1] += p[4] * dx * (dx**2 - hw**2) / 2.0
+        J[:, 4] = hw * dx / den
+    J[:, :2] /= (den**2)[:, None]
     J[:, 2] = hw**2 / den
     J[:, 3] = 1.0
     return J
@@ -90,18 +96,10 @@ def fano(x, center, width, q_fano, amplitude, offset):
 
 
 def _fano_jac(x, p):
-    center, width, q_fano, amplitude, offset = p
-    hw = width / 2.0
-    dx = x - center
-    num = q_fano * hw + dx
-    den = hw**2 + dx**2
-    J = np.empty((x.size, 5))
-    d_dx = amplitude * (2.0 * num * den - num**2 * 2.0 * dx) / den**2
-    J[:, 0] = -d_dx
-    J[:, 1] = amplitude * (2.0 * num * (q_fano * 0.5) * den - num**2 * hw) / den**2
-    J[:, 2] = amplitude * 2.0 * num * hw / den
-    J[:, 3] = num**2 / den
-    J[:, 4] = 1.0
+    """The line's J at its (kL, k0, kD) times d(kL, k0, kD)/d(q, A, offset) (the chain rule)."""
+    center, width, q, a, offset = p
+    J = _lorentzian_jac(x, (center, width, a * (q * q - 1.0), offset + a, 2.0 * a * q))
+    J[:, 2:] = J[:, 2:] @ np.array([[2 * a * q, q * q - 1, 0], [0, 1, 1], [2 * a, 2 * q, 0]])
     return J
 
 
@@ -288,18 +286,14 @@ def fit_lorentzian(trace, initial: dict | None = None) -> FitResult:
     overrides them (keys: center, fwhm, amplitude, offset).
     """
     x, y = _as_trace_arrays(trace)
-    c0, w0, a0, off0 = _lorentzian_init(x, y)
-    guess = {"center": c0, "fwhm": w0, "amplitude": a0, "offset": off0}
-    if initial:
-        guess.update(initial)
     names = ("center", "fwhm", "amplitude", "offset")
-    p0 = [guess[k] for k in names]
+    guess = dict(zip(names, _lorentzian_init(x, y)), **(initial or {}))
     lo = np.array([-np.inf, guess["fwhm"] * 1e-9, -np.inf, -np.inf])
     hi = np.full(4, np.inf)
     result = gauss_newton(
         lambda p: lorentzian(x, *p) - y,
         lambda p: _lorentzian_jac(x, p),
-        p0,
+        [guess[k] for k in names],
         names,
         bounds=(lo, hi),
     )
@@ -307,8 +301,8 @@ def fit_lorentzian(trace, initial: dict | None = None) -> FitResult:
     return result
 
 
-def _fano_public(k0: float, kL: float, kD: float):
-    """(q_fano, amplitude, offset) of k0 + kL*L + kD*D: the root q of kL/kD = (q^2 - 1)/(2q)
+def _fano_public(kL: float, k0: float, kD: float):
+    """(q_fano, amplitude, offset) of kL*L + k0 + kD*D: the root q of kL/kD = (q^2 - 1)/(2q)
     whose amplitude kD/(2q) is positive, t + copysign(hypot(t, 1), kD) at t = kL/kD."""
     if kD == 0:
         raise ArithmeticError("fano fit reached the Lorentzian limit: q_fano is unbounded")
@@ -317,41 +311,27 @@ def _fano_public(k0: float, kL: float, kD: float):
     return q, kD / (2.0 * q), k0 - kD / (2.0 * q)
 
 
-def fit_fano(trace, initial: dict | None = None) -> FitResult:
+def fit_fano(trace) -> FitResult:
     """Fit the asymmetric (Fano) resonance line to a real trace.
 
-    The line is k0 + kL*L + kD*D in L = hw^2/(hw^2 + dx^2) and D = hw*dx/(hw^2 + dx^2), with
-    k0 = offset + A, kL = A(q^2 - 1) and kD = 2Aq (U. Fano, Phys. Rev. 124, 1866 (1961)).
-    Gauss-Newton fits (center, width, k0, kL, kD), finite as q -> inf, from the Lorentzian
-    seed's center and width and one linear solve, then maps back to amplitude > 0 with the
-    covariance (``_fano_public``). ``initial`` overrides the seed; its keys are ``fano``'s.
+    The line is kL*L + k0 + kD*D in L = hw^2/(hw^2 + dx^2) and D = hw*dx/(hw^2 + dx^2), with
+    kL = A(q^2 - 1), k0 = offset + A and kD = 2Aq (U. Fano, Phys. Rev. 124, 1866 (1961)).
+    Gauss-Newton fits (center, width, kL, k0, kD) on the line's Jacobian (``_lorentzian_jac``),
+    finite as q -> inf, from the Lorentzian seed's center and width and one linear solve, then
+    maps back to amplitude > 0 with the covariance (``_fano_public``, ``_fano_jac``).
     """
     x, y = _as_trace_arrays(trace)
     c0, w0, _, _ = _lorentzian_init(x, y)
-    guess = {"center": c0, "width": w0, **(initial or {})}
-
-    def jacobian(p):  # d/d(center), d/d(width), then the columns 1, L, D that k multiplies
-        hw, dx = p[1] / 2.0, x - p[0]
-        den = hw**2 + dx**2
-        return np.column_stack([
-            (2.0 * p[3] * hw**2 * dx - p[4] * hw * (hw**2 - dx**2)) / den**2,
-            (p[3] * hw * dx**2 + p[4] * dx * (dx**2 - hw**2) / 2.0) / den**2,
-            np.ones_like(x), hw**2 / den, hw * dx / den])
-
-    p0 = [guess["center"], guess["width"]]
+    jac = partial(_lorentzian_jac, x)
     with np.errstate(over="raise", invalid="raise", divide="raise"):  # as _lorentzian_init
-        k = np.linalg.lstsq(jacobian(p0 + [0.0] * 3)[:, 2:], y, rcond=None)[0].tolist()
-    public = ("q_fano", "amplitude", "offset")
-    if guess.keys() & set(public):  # a seed in the public names maps forward
-        q, a, off = (guess.get(key, v) for key, v in zip(public, _fano_public(*k)))
-        k = [off + a, a * (q * q - 1.0), 2.0 * a * q]
-    lo = [-np.inf, guess["width"] * 1e-9, -np.inf, -np.inf, -np.inf]
-    fit = gauss_newton(lambda p: jacobian(p)[:, 2:] @ p[2:] - y, jacobian, p0 + k,
-                       ("center", "width", "k0", "kL", "kD"), bounds=(lo, [np.inf] * 5))
+        k = np.linalg.lstsq(jac((c0, w0, 0.0, 0.0, 0.0))[:, 2:], y, rcond=None)[0]
+    lo = [-np.inf, w0 * 1e-9, -np.inf, -np.inf, -np.inf]
+    fit = gauss_newton(lambda p: jac(p)[:, 2:] @ p[2:] - y, jac, [c0, w0, *k],
+                       ("center", "width", "kL", "k0", "kD"), bounds=(lo, [np.inf] * 5))
     center, width, *k = fit.params.values()
-    return _fit_result(("center", "width", *public), [center, width, *_fano_public(*k)],
-                       fit.residual_norm**2, lambda p: _fano_jac(x, p), fit.converged,
-                       fit.iterations, fit.message)
+    return _fit_result(("center", "width", "q_fano", "amplitude", "offset"),
+                       [center, width, *_fano_public(*k)], fit.residual_norm**2,
+                       partial(_fano_jac, x), fit.converged, fit.iterations, fit.message)
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")

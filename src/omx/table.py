@@ -41,8 +41,8 @@ __all__ = ["CHUNK_ROWS", "Rows", "write_table", "write_json", "read_table"]
 CHUNK_ROWS = 4096
 
 # The first values of a float column, which decide whether it is a grid axis
-# (``_repeats``) and whose distinct values are formatted once per table
-# (``_grid``); a fixed sample, so that neither moves with CHUNK_ROWS.
+# and whose distinct values are formatted once per table (``_grid``); a fixed
+# sample, so that neither moves with CHUNK_ROWS.
 _REPEAT_SAMPLE = 16384
 
 # A float cell costs 0.1-0.2 us to encode on a shared 2-vCPU x86 VM (orjson's
@@ -81,28 +81,18 @@ class Rows:
         return block[start - first:stop - first]
 
 
-def _repeats(values: np.ndarray) -> bool:
-    """Whether fewer than half of the first ``_REPEAT_SAMPLE`` values of a
-    float64 column are distinct (a grid axis); the bit pattern keeps -0.0
-    apart from 0.0. Sorting, not ``np.unique``, which would import
-    ``numpy.ma``."""
-    if values.dtype != np.float64:
-        return False
-    bits = np.sort(values[:_REPEAT_SAMPLE].view(np.int64))
-    return 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) < bits.size
-
-
 def _grid(values: np.ndarray):
     """(sorted bit patterns, cells) of the distinct values among the first
-    ``_REPEAT_SAMPLE`` of a grid axis (``_repeats``); None for any other
-    column."""
-    if values.dtype != np.float64:  # no sample is computed for it
+    ``_REPEAT_SAMPLE`` of a float64 column that is a grid axis: fewer than half
+    of them distinct, where the bit pattern keeps -0.0 apart from 0.0. None for
+    any other column. Sorting, not ``np.unique``, which would import
+    ``numpy.ma``."""
+    if values.dtype != np.float64 or not len(values):  # no sample is computed for it
         return None
-    sample = values[:_REPEAT_SAMPLE]  # computed once, for a Rows column
-    if not _repeats(sample):
-        return None
-    bits = np.sort(sample.view(np.int64))
+    bits = np.sort(values[:_REPEAT_SAMPLE].view(np.int64))  # computed once, for a Rows column
     keys = bits[np.append(True, bits[1:] != bits[:-1])]
+    if 2 * keys.size >= bits.size:
+        return None
     return keys, np.array(_numbers(keys.view(np.float64)), object)
 
 

@@ -51,6 +51,20 @@ class TestJacobians:
         numeric = finite_difference_jacobian(lambda q: fitkit.lorentzian(x, *q), p)
         assert np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-9)) < 1e-6
 
+    def test_line_jacobian_with_a_dispersive_term_matches_finite_differences(self):
+        # the k form that fit_fano's Gauss-Newton runs on: kL*L + k0 + kD*D
+        x = np.linspace(-4.0, 6.0, 37)
+        p = np.array([0.7, 1.9, -1.4, 0.6, 2.2])
+
+        def line(q):
+            hw, dx = q[1] / 2.0, x - q[0]
+            return (q[2] * hw**2 + q[4] * hw * dx) / (hw**2 + dx**2) + q[3]
+
+        analytic = fitkit._lorentzian_jac(x, p)
+        numeric = finite_difference_jacobian(line, p)
+        assert analytic.shape == (x.size, 5)
+        assert np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-9)) < 1e-6
+
     def test_fano_jacobian_matches_finite_differences(self):
         x = np.linspace(-4.0, 6.0, 37)
         p = np.array([0.7, 1.9, -2.3, 1.1, 0.2])

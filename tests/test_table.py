@@ -58,7 +58,7 @@ class TestCells:
 
     def test_repeated_column(self):
         column = np.repeat([0.1, 2.0 / 3.0, 1e-300, 7.436e9, -5.5], 3000)
-        assert table._repeats(column)
+        assert table._grid(column) is not None
         assert cells(column) == reprs(column)
 
     def test_negative_zero_stays_apart_from_zero(self):
@@ -74,7 +74,7 @@ class TestCells:
 
     def test_distinct_column(self):
         column = np.geomspace(0.01, 1e4, 5000)
-        assert not table._repeats(column)
+        assert table._grid(column) is None
         assert cells(column) == reprs(column)
 
     def test_strided_column(self):
@@ -94,7 +94,7 @@ class TestCells:
     ], ids=["bit-patterns", "log-uniform"])
     def test_random_column(self, draw):
         column = draw(np.random.default_rng(20241016))
-        assert not table._repeats(column)
+        assert table._grid(column) is None
         assert cells(column) == reprs(column)
 
     @pytest.mark.parametrize("edge", [1e-4, 1e16])
@@ -247,7 +247,8 @@ class TestChunks:
         want = json_bytes(columns) if fmt == "json" else naive_csv(columns)
         for rows in (1, 3, table.CHUNK_ROWS, 16384):
             monkeypatch.setattr(table, "CHUNK_ROWS", rows)
-            assert table._repeats(columns["probe_hz"]) and table._repeats(columns["detuning_hz"])
+            assert table._grid(columns["probe_hz"]) is not None
+            assert table._grid(columns["detuning_hz"]) is not None
             table.write_table(columns, tmp_path / "t", fmt)
             assert_same_text((tmp_path / "t").read_text(), want)
 
