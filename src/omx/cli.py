@@ -279,9 +279,36 @@ def _cmd_omit_map(args) -> tuple:
             "mag": rows(mag)}, None
 
 
-def _cmd_pulse_sim(args) -> tuple:
-    import numpy as np
+def _secrets_stand_in():
+    """A ``secrets`` module holding only ``randbits``, bound as the stdlib's is."""
+    import random
+    import types
 
+    stand_in = types.ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+    return stand_in
+
+
+def _numpy_random():
+    """``numpy.random``, imported with ``_secrets_stand_in()`` as ``secrets`` unless
+    either is loaded: numpy takes only ``randbits`` from it, and the stdlib's
+    loads ``hmac``, ``hashlib`` and OpenSSL's libcrypto. Only the CLI's own process
+    does this; a later ``import secrets`` gets the stdlib's, and if numpy asks the
+    stand-in for more, numpy.random is imported as it would be without it."""
+    if "secrets" not in sys.modules and "numpy.random" not in sys.modules:
+        sys.modules["secrets"] = _secrets_stand_in()
+        try:
+            import numpy.random
+        except ImportError:
+            pass
+        finally:
+            del sys.modules["secrets"]
+    import numpy.random
+    return numpy.random
+
+
+def _cmd_pulse_sim(args) -> tuple:
+    random = _numpy_random()  # before the first draw
     omx.core._check("pulses", args.pulses, within=(1, _MAX_ROWS * omx.pulsed.BLOCK_PULSES))
     device = _load_device(args.device)
     kernel = _load_kernel(args.kernel)
@@ -309,7 +336,7 @@ def _cmd_pulse_sim(args) -> tuple:
     for given, mean in ((f"--peak-power {args.peak_power!r}", side),
                         (dark, chain.dark_per_pulse)):
         try:  # a draw of no samples checks the mean as Generator.poisson does
-            np.random.default_rng(0).poisson(mean, 0)
+            random.default_rng(0).poisson(mean, 0)
         except ValueError:
             raise ValueError(f"{given} gives {mean:.3g} counts per pulse, "
                              "beyond the Poisson sampler's range") from None

@@ -396,6 +396,7 @@ def simulate_clicks(device: Device, train: PulseTrain, chain: DetectionChain,
     bit-identical for any worker count. Within a pulse, sideband clicks
     precede dark clicks.
     """
+    _check("seed", seed, ge=0)
     _check("workers", workers, ge=1)
     scattering_probability(device, n_c, train.tau)  # checks n_c and tau; warns above 0.2
     p_s, n_m, mu_side = _means(device, train, chain, kernel, n_c)

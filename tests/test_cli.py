@@ -356,6 +356,16 @@ class TestPulseCommands:
         code, out, err = run(capsys, "pulse-sim", "--pulses", "10", "--workers", workers)
         assert (code, out, err) == (2, "", "error: workers must be >= 1\n")
 
+    def test_negative_seed_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "pulse-sim", "--pulses", "10", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
+
+    def test_seed_beyond_64_bits_is_accepted(self, capsys):
+        code, out, err = run(capsys, "pulse-sim", "--pulses", "1000",
+                             "--seed", str(2**70))
+        assert (code, err) == (0, "")
+        assert out.startswith("pulse_index,t_ns,label\n")
+
     def test_seed_default_is_zero(self, capsys, tmp_path):
         p1, p2 = tmp_path / "default.csv", tmp_path / "explicit.csv"
         assert self.simulate(capsys, p1)[0] == 0

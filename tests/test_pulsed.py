@@ -274,6 +274,19 @@ class TestSimulateClicks:
             pulsed.simulate_clicks(self.device, self.train("blue", 10), self.chain,
                                    flat_kernel(0.4), self.n_c, workers=workers)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            pulsed.simulate_clicks(self.device, self.train("blue", 10), self.chain,
+                                   flat_kernel(0.4), self.n_c, seed=seed)
+
+    def test_seed_beyond_64_bits_is_kept(self):
+        """SeedSequence takes any nonnegative int, so the check must too."""
+        a, b = (quiet_simulate(self.device, self.train("blue", 30_000), self.chain,
+                               flat_kernel(0.4), self.n_c, seed=seed)
+                for seed in (2**70, 2**70 + 1))
+        assert len(a) > 0 and a != b
+
     def test_different_seeds_differ(self):
         a = quiet_simulate(self.device, self.train("blue", 30_000), self.chain,
                            flat_kernel(0.4), self.n_c, seed=0)

@@ -20,9 +20,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports the modules named after the JSON argument, then ``omx``, then runs the
 # commands given as a JSON list of argv lists, in one fresh interpreter; prints
-# the exit codes, what was loaded on the way (``numpy``, ``numpy.ma``, ``orjson``
-# and ``dataclasses`` among it), the OS threads left at the end (Linux only) and the
-# environment variables that changed.
+# the exit codes, what was loaded on the way (``numpy``, ``numpy.ma``, ``orjson``,
+# ``dataclasses``, ``secrets`` and OpenSSL's ``_hashlib`` among it), the OS threads
+# left at the end (Linux only) and the environment variables that changed.
 SCRIPT = """
 import importlib, json, os, sys, time
 environ = dict(os.environ)
@@ -47,6 +47,7 @@ print(json.dumps({"import_omx": after_import, "codes": codes, "omx": loaded("omx
                   "scipy": loaded("scipy"), "futures": "concurrent.futures" in sys.modules,
                   "numpy": "numpy" in sys.modules, "numpy_ma": "numpy.ma" in sys.modules,
                   "orjson": "orjson" in sys.modules, "dataclasses": "dataclasses" in sys.modules,
+                  "secrets": "secrets" in sys.modules, "hashlib": "_hashlib" in sys.modules,
                   "threads": threads, "environ_changed": changed}))
 """
 
@@ -62,15 +63,21 @@ SPLIT = (["omx._parallel"] if hasattr(os, "sched_getaffinity")
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def fresh(*commands, preload=(), **blas) -> dict:
-    """SCRIPT in a new interpreter. Its environment is this process's without
-    the BLAS thread variables, which pytest's may carry, plus ``blas``."""
+def python(code: str, *args: str, **blas) -> dict:
+    """``code`` in a new interpreter, and the JSON of its last stdout line. Its
+    environment is this process's without the BLAS thread variables, which
+    pytest's may carry, plus ``blas``."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands), *preload],
-                          env=dict(env, **blas), capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=dict(env, **blas),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def fresh(*commands, preload=(), **blas) -> dict:
+    """SCRIPT in a new interpreter, as ``python`` runs it."""
+    return python(SCRIPT, json.dumps(commands), *preload, **blas)
 
 
 @pytest.fixture
@@ -176,6 +183,58 @@ def test_each_command_loads_only_what_it_runs(trace, fano_trace, clicks, tables,
     assert result["futures"] is futures  # the thread pool only for a pooled run
     assert not result["numpy_ma"]  # as np.unique without index outputs and np.median do
     assert result["orjson"] is orjson
+    # numpy.random's `secrets` loads hmac, hashlib and OpenSSL's libcrypto
+    assert not result["secrets"] and not result["hashlib"]
+
+
+# golden/pulse_sim_blue.csv and the command that writes it
+PULSE_SIM_GOLDEN = Path(__file__).resolve().parent / "golden" / "pulse_sim_blue.csv"
+PULSE_SIM = ["pulse-sim", "--pulses", "131171", "--eta", "1", "--peak-power", "5e-7",
+             "--dark-rate", "500", "--seed", "1"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("preload", [(), ("secrets",)], ids=["stand-in", "secrets-first"])
+def test_pulse_sim_bytes_do_not_depend_on_how_numpy_random_was_imported(
+        tmp_path, preload, workers):
+    """With ``secrets`` imported first, numpy.random is imported with it, not a
+    stand-in; the stream is the golden one either way, at any worker count."""
+    out = tmp_path / "clicks.csv"
+    result = fresh(PULSE_SIM + ["--workers", workers, "--out", str(out)], preload=preload)
+    assert result["codes"] == [0]
+    assert result["secrets"] is result["hashlib"] is bool(preload)
+    assert out.read_bytes() == PULSE_SIM_GOLDEN.read_bytes()
+
+
+# Runs the command given as JSON through cli.main, with a stand-in for `secrets`
+# that has no ``randbits`` if the next argument is "broken"; then imports
+# `secrets` and draws an unseeded SeedSequence. Prints what it saw.
+AFTER_PULSE_SIM = """
+import json, sys, types
+import omx.cli
+if sys.argv[2] == "broken":
+    omx.cli._secrets_stand_in = lambda: types.ModuleType("secrets")
+code = omx.cli.main(json.loads(sys.argv[1]))
+loaded = "secrets" in sys.modules
+import secrets
+import numpy as np
+print(json.dumps({"code": code, "loaded": loaded, "token": secrets.token_hex(4),
+                  "entropy": type(np.random.SeedSequence().entropy).__name__}))
+"""
+
+
+@pytest.mark.parametrize("stand_in", ["working", "broken"])
+def test_secrets_is_the_stdlibs_after_pulse_sim(tmp_path, stand_in):
+    """The stand-in is gone once numpy.random is imported. One that numpy cannot
+    import from (a later numpy might ask it for more than ``randbits``) costs
+    only the import it was to save: numpy.random is imported with the stdlib's
+    `secrets`, and the stream keeps its bytes."""
+    out = tmp_path / "clicks.csv"
+    result = python(AFTER_PULSE_SIM, json.dumps(PULSE_SIM + ["--out", str(out)]), stand_in)
+    assert result["code"] == 0
+    assert result["loaded"] is (stand_in == "broken")
+    assert len(result["token"]) == 8 and result["entropy"] == "int"
+    assert out.read_bytes() == PULSE_SIM_GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("argv, code", [
