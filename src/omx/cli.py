@@ -417,11 +417,11 @@ def _cmd_fit(args) -> tuple:
             branch=args.branch, sigma=sigma)
         angular = ("slope", "g0")
     elif args.kind == "heating":
-        data = omx.table.read_table(args.in_path)
+        # a cool-curve table's other columns are checked, not held through the fit
+        data = omx.table.read_table(args.in_path, columns=("n_c", "n_m"))
         if "n_c" not in data or "n_m" not in data:
             raise ValueError("heating fit input needs columns n_c,n_m")
         n_c, n_m = data["n_c"], data["n_m"]
-        del data  # a cool-curve table's other columns are not held through the fit
         device = _load_device(args.device if args.device is not None else "A")
         n_th0 = (omx.core.DEFAULT_HEATING.n_th0 if args.n_th0 is None
                  else None if args.n_th0 == "free" else float(args.n_th0))

@@ -160,6 +160,7 @@ def gauss_newton(
 
     r = residual_fn(x)
     cost = float(r @ r)
+    rows = r.size
     converged = False
     message = "iteration cap reached"
     iterations = 0
@@ -167,18 +168,19 @@ def gauss_newton(
 
     for iterations in range(1, max_iter + 1):
         col, active, R, qtr = _factor(jacobian_fn(x), r, n)
+        del r  # not held beside the next; residual_fn may refill one vector
         if not active.any():
             message = "all parameters frozen (zero Jacobian)"
             break
-        rcond = np.finfo(float).eps * max(r.size, R.shape[1])  # lstsq's own for Js, r.size rows
+        rcond = np.finfo(float).eps * max(rows, R.shape[1])  # lstsq's own for Js
         for lam in DAMPING:
             A = np.vstack([R, math.sqrt(lam) * np.eye(R.shape[1])]) if lam else R
             b = np.concatenate([-qtr, np.zeros(R.shape[1])]) if lam else -qtr
             dx = np.zeros(n)
             dx[active] = np.linalg.lstsq(A, b, rcond=rcond)[0] / col[active]
             x_try = np.clip(x + dx, lo, hi)
-            r_try = residual_fn(x_try)
-            cost_try = float(r_try @ r_try)
+            r = residual_fn(x_try)
+            cost_try = float(r @ r)
             if np.isfinite(cost_try) and cost_try <= cost:
                 break
         else:
@@ -192,7 +194,7 @@ def gauss_newton(
 
         step = np.linalg.norm(x_try - x) / max(np.linalg.norm(x), 1e-300)
         dcost = abs(cost - cost_try) / max(cost, 1e-300)
-        x, r, cost = x_try, r_try, cost_try
+        x, cost = x_try, cost_try
         if step < STEP_TOL or dcost < COST_TOL:
             converged = True
             message = "converged"
@@ -414,8 +416,8 @@ def fit_heating_params(
     Gauss-Newton starts at the best beta_sat of a log grid over 1/n_c, each with the others'
     nonnegative linear fit on ~1,000 strided rows (variable projection, Golub & Pereyra 1973);
     data that overflow that seed (such as n_c = 1e-320) raise FloatingPointError, and an n_c
-    whose cooperativity overflows ValueError. No n x k Jacobian is held: it is made and
-    factored 4,096 rows at a time.
+    whose cooperativity overflows ValueError. Beside n_c and n_m only the residual is held
+    whole: it is refilled, and J made and factored, 4,096 rows at a time.
     """
     x = np.asarray(n_c, dtype=float)
     y = np.asarray(n_m, dtype=float)
@@ -425,13 +427,16 @@ def fit_heating_params(
         raise ValueError("not enough points for the number of free coefficients")
     top = float(_check("n_c", x, ge=0).max())  # cooperativity's own check, run first
     _finite(cooperativity(device, top), f"n_c = {top!r} overflows the cooperativity")
-    damp = 1.0 + cooperativity(device, x)
     if top <= 0:
         raise ValueError("heating fit needs a positive n_c")
     if x.min() == x.max():
         raise ValueError("heating fit needs two distinct n_c")
     # fewer distinct n_c than coefficients would fit one from no data, at stderr 0
-    distinct = 1 + np.count_nonzero(np.diff(np.sort(x if free_n0 else x[x > 0])))
+    ranked = np.sort(x)
+    first = np.searchsorted(ranked, 0.0, "right")  # the least positive n_c (-0.0 == 0.0)
+    smallest, ranked = ranked[first], ranked if free_n0 else ranked[first:]
+    distinct = 1 + np.count_nonzero(ranked[1:] != ranked[:-1])
+    del ranked
     if distinct < (4 if free_n0 else 3):
         raise ValueError(f"heating fit needs {'4 distinct' if free_n0 else '3 distinct positive'}"
                          f" n_c, the table has {distinct}")
@@ -439,23 +444,32 @@ def fit_heating_params(
     def linear(b_s, x, damp):  # the columns that (n_th0), alpha_sat and alpha_lin multiply
         return ([1.0 / damp] if free_n0 else []) + [x / (1.0 + b_s * x) / damp, x / damp]
 
+    def damp_at(rows):  # 1 + C of those rows, never held for all of them
+        return 1.0 + cooperativity(device, x[rows])
+
     rows = slice(None, None, -(-x.size // 1000))
     with np.errstate(over="raise", invalid="raise", divide="raise"):  # as _lorentzian_init
-        t = y[rows] - n00 / damp[rows]
-        seeds = [(*_nnls(np.column_stack(linear(b, x[rows], damp[rows])), t), b)
-                 for b in np.geomspace(1.0 / x.max(), 1.0 / x[x > 0].min(), 17)]
+        d = damp_at(rows)
+        t = y[rows] - n00 / d
+        seeds = [(*_nnls(np.column_stack(linear(b, x[rows], d)), t), b)
+                 for b in np.geomspace(1.0 / x.max(), 1.0 / smallest, 17)]
     _, c, b_sat0 = min(seeds, key=lambda seed: seed[0])
     names = ("n_th0",) * free_n0 + ("alpha_sat", "beta_sat", "alpha_lin")
+    r = np.empty(x.size)
 
-    def residual(p):
+    def residual(p):  # refills r, 4,096 rows at a time
         n0, a_s, b_s, a_l = p if free_n0 else (n00, *p)
-        return (n0 + a_s * x / (1.0 + b_s * x) + a_l * x) / damp - y
+        for k in range(0, x.size, 4096):
+            at = slice(k, k + 4096)
+            r[at] = (n0 + a_s * x[at] / (1.0 + b_s * x[at]) + a_l * x[at]) / damp_at(at) - y[at]
+        return r
 
     def jacobian(p):
         def rows(start: int, stop: int) -> np.ndarray:
             # beta_sat's column, -alpha_sat*sat^2/damp, goes before alpha_lin's
-            *cols, lin = linear(p[-2], x[start:stop], damp[start:stop])
-            return np.column_stack([*cols, -p[-3] * cols[-1] ** 2 * damp[start:stop], lin])
+            d = damp_at(slice(start, stop))
+            *cols, lin = linear(p[-2], x[start:stop], d)
+            return np.column_stack([*cols, -p[-3] * cols[-1] ** 2 * d, lin])
         return table.Rows(x.size, rows)
 
     result = gauss_newton(residual, jacobian, [*c[:-1], b_sat0, c[-1]], names,

@@ -1,19 +1,20 @@
 """The one table codec: named, equal-length columns as CSV or JSON.
 
 CSV is a header row, then one ``\\n``-terminated row per entry, written
-``CHUNK_ROWS`` rows at a time: one chunk's cells, rows and text are all the
-encoder holds, whatever the size of the table. A cell is ``str(int)``,
-``repr(float)`` (so floats round-trip exactly), ``true``/``false`` or the
-string itself. A number is orjson's text, which equals that for a bool, an int
-and a float x == 0 or 1e-4 <= |x| < 1e16; ``repr`` formats any other float. It
-is read back by numpy's C parser in one call; ``csv`` scans a file again only
-to name the line of a fault. JSON is one indented object mapping each name to
-its column as a list, written from the same cells (a string is JSON-quoted);
-its bytes are those of ``json.dumps(..., indent=2)``. A column is an array, or
-a column computed for each row range (``Rows``), which is never held whole. A
-large table is encoded on up to one process per CPU this process may use, and
-its bytes do not depend on how many. Each file layout lives next to its type
-(``pulsed.click_columns``, ``spectra.trace_columns``, ...).
+``CHUNK_ROWS`` rows at a time: one chunk's cells, the list that joins them
+and its text are all the encoder holds, whatever the size of the table. A
+cell is ``str(int)``, ``repr(float)`` (so floats round-trip exactly),
+``true``/``false`` or the string itself. A number is orjson's text, which
+equals that for a bool, an int and a float x == 0 or 1e-4 <= |x| < 1e16;
+``repr`` formats any other float. It is read back by numpy's C parser in one
+call; ``csv`` scans a file again only to name the line of a fault. JSON is
+one indented object mapping each name to its column as a list, written from
+the same cells (a string is JSON-quoted); its bytes are those of
+``json.dumps(..., indent=2)``. A column is an array, or a column computed for
+each row range (``Rows``), which is never held whole. A large table is encoded
+on up to one process per CPU this process may use, and its bytes do not depend
+on how many. Each file layout lives next to its type (``pulsed.click_columns``,
+``spectra.trace_columns``, ...).
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ import numpy as np
 
 __all__ = ["CHUNK_ROWS", "Rows", "write_table", "write_json", "read_table"]
 
-# One chunk's cells, rows and text are the encoder's working memory, about
-# 0.3 KiB a row: 1.2 MiB in tracemalloc for 4,096 rows of a click stream, 5 MiB
-# for 16,384. On a shared 2-vCPU x86 VM no one-CPU encode of a click stream, a
-# 1e5-point cool-curve or an omit-map table was slower at 4,096 rows than at
-# 16,384; at 2,048 the fixed work per chunk began to show.
+# One chunk's cells, the list that joins them and its text are the encoder's
+# working memory, about 0.25 KiB a row: 1.0 MiB in tracemalloc for 4,096 rows
+# of a click stream (1.2 MiB when each row was joined on its own). On a shared
+# 2-vCPU x86 VM no one-CPU encode of a click stream, a 1e5-point cool-curve or
+# an omit-map table was slower at 4,096 rows than at 16,384; at 2,048 the
+# fixed work per chunk began to show.
 CHUNK_ROWS = 4096
 
 # The first values of a float column, which decide whether it is a grid axis
@@ -46,7 +48,7 @@ CHUNK_ROWS = 4096
 _REPEAT_SAMPLE = 16384
 
 # A float cell costs 0.1-0.2 us to encode on a shared 2-vCPU x86 VM (orjson's
-# text and the row joins; 0.2 in a cool-curve table), so a table's float cells
+# text and the join; 0.2 in a cool-curve table), so a table's float cells
 # measure its encoding work. There a forked encoder adds about 10 ms of CPU in
 # a process holding an omit-map 401x2001 table: 3 ms for the fork and exit
 # alone, the rest copy-on-write faults. That is the encoding of 50-100k cells,
@@ -200,8 +202,12 @@ def _csv_pieces(cols: dict, encoders: list) -> list:
 
 
 def _csv_chunk(columns: list, encoders: list, start: int) -> str:
-    cells = [cells(c[start:start + CHUNK_ROWS]) for c, cells in zip(columns, encoders)]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    # each row's cells and separators in one list, joined once
+    n = len(columns)
+    text = ([","] * (2 * n - 1) + ["\n"]) * min(CHUNK_ROWS, len(columns[0]) - start)
+    for k, (c, cells) in enumerate(zip(columns, encoders)):
+        text[2 * k::2 * n] = cells(c[start:start + CHUNK_ROWS])
+    return "".join(text)
 
 
 def _json_pieces(cols: dict, encoders: list) -> list:
@@ -261,17 +267,19 @@ def _write(part: list, fh) -> None:
     fh.writelines(_texts(part))  # drops each text before the next is encoded
 
 
-def read_table(path, header=None, types=None) -> dict:
+def read_table(path, header=None, types=None, columns=None) -> dict:
     """Columns of a CSV table as numpy arrays, keyed by header name.
 
     ``header`` is the header required (any if None). ``types`` maps a name to
     ``int`` (an int64 column) or to a tuple of labels (int64 indices into it);
-    other columns are float64. After the header is checked, numpy's C parser
-    reads every row in one call, skipping blank lines. If it rejects a row, a
-    float cell is not finite, a label is unknown, or a table with labels holds
-    a NUL, a ``csv`` scan of the file finds the first fault to raise
-    ``ValueError("path:line: ...")``; if that scan finds none (a quoted
-    number, ``1_000``), ``"path: cannot parse table"``.
+    other columns are float64. ``columns`` names the columns returned (all if
+    None; a name not in the header is left out); every column is checked.
+    After the header is checked, numpy's C parser reads every row in one call,
+    skipping blank lines. If it rejects a row, a float cell is not finite, a
+    label is unknown, or a table with labels holds a NUL, a ``csv`` scan of
+    the file finds the first fault to raise ``ValueError("path:line: ...")``;
+    if that scan finds none (a quoted number, ``1_000``), ``"path: cannot
+    parse table"``.
     """
     types = types or {}
     with open(path, newline="") as fh:
@@ -295,8 +303,11 @@ def read_table(path, header=None, types=None) -> dict:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 rows = np.loadtxt(path, dtype, delimiter=",", skiprows=1, comments=None, ndmin=1)
-            return {name: _column(rows[str(i)], kind)
+            cols = {name: _column(rows[str(i)], kind)
                     for i, (name, kind) in enumerate(zip(head, kinds))}
+            # a contiguous copy only of the columns returned, and after all are checked
+            return {name: np.ascontiguousarray(col) for name, col in cols.items()
+                    if columns is None or name in columns}
         except ValueError:
             pass
     with open(path, newline="") as fh:
@@ -336,15 +347,14 @@ def _has_nul(path) -> bool:
 
 
 def _column(cells: np.ndarray, kind) -> np.ndarray:
-    """One parsed field as a column; ValueError on a non-finite float or an
-    unknown label."""
+    """One parsed field as a column, a view of it for a number; ValueError on a
+    non-finite float or an unknown label."""
     if isinstance(kind, tuple):
         index = np.full(cells.size, -1, np.int64)
         for k, label in enumerate(kind):
             index[cells == label.encode("latin-1")] = k
         cells, valid = index, index >= 0
     else:
-        cells = np.ascontiguousarray(cells)
         valid = np.isfinite(cells)
     if not valid.all():
         raise ValueError("a cell is not finite or not a label")

@@ -915,6 +915,7 @@ class TestFitCommand:
         ("g0", "gamma_m_hz", "g0 fit input needs columns n_c,gamma_m_hz[,sigma_hz]"),
         ("heating", "n_c", "heating fit input needs columns n_c,n_m"),
         ("heating", "n_m,n_th", "heating fit input needs columns n_c,n_m"),
+        ("heating", "n_c,C,gamma_eff_hz,t_eff_k", "heating fit input needs columns n_c,n_m"),
     ])
     def test_fit_input_missing_a_column(self, capsys, tmp_path, kind, header, text):
         path = tmp_path / "t.csv"
@@ -1001,6 +1002,40 @@ class TestFitCommand:
         for name in ("n_th0", "alpha_sat", "beta_sat", "alpha_lin"):
             truth = getattr(core.DEFAULT_HEATING, name)
             assert params[name]["value"] == pytest.approx(truth, rel=1e-9), name
+
+    @pytest.fixture(scope="class")
+    def long_curve(self, tmp_path_factory):
+        """The 1e5-row ``cool-curve`` table, written to ``--out``."""
+        path = tmp_path_factory.mktemp("curve") / "curve.csv"
+        assert main(["cool-curve", "--points", "100000", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("n_th0", [[], ["--n-th0", "free"]], ids=["fixed", "free"])
+    def test_heating_fit_of_a_long_curve_is_that_of_its_n_c_and_n_m(self, capsys, tmp_path,
+                                                                     long_curve, n_th0):
+        """The fit holds only n_c and n_m: the same bytes as from the table cut to them."""
+        rows = [line.split(",") for line in long_curve.read_text().splitlines()]
+        n_c, n_m = rows[0].index("n_c"), rows[0].index("n_m")
+        cut = tmp_path / "cut.csv"
+        cut.write_text("".join(f"{cells[n_c]},{cells[n_m]}\n" for cells in rows))
+        fits = [run(capsys, "fit", "heating", "--in", str(path), *n_th0)
+                for path in (long_curve, cut)]
+        assert fits[0][0] == 0
+        assert fits[0] == fits[1]
+
+    @pytest.mark.parametrize("cell,fault", [
+        ("1.5e", "cannot read t_eff_k value '1.5e'"),
+        ("nan", "t_eff_k value 'nan' is not finite"),
+    ])
+    def test_heating_fit_checks_the_columns_it_does_not_fit(self, capsys, tmp_path, long_curve,
+                                                            cell, fault):
+        lines = long_curve.read_text().splitlines(keepends=True)
+        assert lines[0] == "n_c,C,gamma_eff_hz,n_m,t_eff_k\n"
+        lines[49_999] = lines[49_999].rsplit(",", 1)[0] + f",{cell}\n"  # the file's line 50,000
+        path = tmp_path / "curve.csv"
+        path.write_text("".join(lines))
+        assert run(capsys, "fit", "heating", "--in", str(path)) == (
+            2, "", f"error: {path}:50000: {fault}\n")
 
     def test_heating_fit_gives_an_undetermined_coefficient_no_stderr(self, capsys, tmp_path):
         """Every n_m below the default n_th0: alpha_sat fits to 0, where beta_sat has no

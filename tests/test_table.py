@@ -766,6 +766,20 @@ class TestRead:
         code = main(["estimate", "--blue", str(good), "--red", str(path), "--pulses", "10"])
         assert (code, capsys.readouterr()) == (2, ("", f"error: {path}: cannot parse table\n"))
 
+    def test_columns_gives_only_those_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,n,c\n1.5,2.5,3,4.5\n-0.0,5e-324,7,1e308\n")
+        whole = table.read_table(path, None, {"n": int})
+        some = table.read_table(path, None, {"n": int}, columns=("c", "n", "z"))
+        assert_same_columns(some, {"n": whole["n"], "c": whole["c"]})
+        assert all(column.flags.c_contiguous for column in some.values())
+
+    def test_columns_not_named_are_still_checked(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1.5,2.5\n2.5,inf\n")
+        with pytest.raises(ValueError, match=f"^{path}:3: b value 'inf' is not finite$"):
+            table.read_table(path, columns=("a",))
+
     def test_repeated_header_name(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x,x\n1.5,2.5\n")
